@@ -1,39 +1,32 @@
-"""Benchmark the declarative trial pipeline: scalar vs batched mode.
+"""Benchmark the trial pipeline: chunk of one vs stacked chunks.
 
-Three workloads, each timed in both executor modes and verified to
-agree bitwise before any timing is reported:
+The trial pipeline has one kernel per stage, and a single trial is a
+chunk of one. This bench runs the same trial groups through
+:meth:`~repro.sim.pipeline.TrialPipeline.run_trials` at
+``chunk_trials=1`` and at the production
+:data:`~repro.sim.pipeline.CHUNK_TRIALS`, verifies the two give
+bitwise identical outcomes (successes, DTW distances and recorded
+waveforms) and times both:
 
-* **T2-class trial groups** — the 32-speaker split-array success-rate
-  cell in the free field, executed through ``ExperimentEngine`` with
-  the pipeline's batched executor on and off. Recognition-inclusive,
-  so the batched DTW kernel and per-chunk filter-design amortisation
-  both count. Gated: batch must be >= 1.5x scalar in full mode.
-* **walking-attacker trial groups** — the same cell under the mobile
-  attacker, adding the per-trial motion-gain stage. Gated at the same
-  1.5x floor.
-* **defense dataset build** — ``build_dataset`` for an F8-class
-  config. This workload is *parity-bound*: ~two thirds of its wall
-  clock is zero-phase filtering and per-trial noise draws that the
-  bitwise batch-equals-scalar contract forces both modes to execute
-  identically, so its honest ceiling is well below 1.5x (see the
-  profile breakdown in EXPERIMENTS.md). It is reported as a
-  diagnostic row with a regression tripwire, not a vectorization
-  gate.
+* **T2 split array** — the 32-speaker split-array success-rate cell
+  in the free field, recognition included;
+* **walking attacker** — the same cell under the mobile attacker,
+  adding the per-trial motion-gain stage.
 
-The results — plus a per-stage wall-time breakdown from the
-pipeline's :class:`~repro.sim.pipeline.StageProfile` hook — are
-written to ``BENCH_pipeline.json`` so CI records the perf trajectory
-run over run::
+Each timing is the best of several passes over one precomputed
+trial context, so the numbers isolate the per-trial stages. A
+separate traced pass records one span per stage call, and
+:meth:`~repro.sim.pipeline.StageProfile.from_spans` turns them into
+the per-stage breakdown. Results and breakdown go to
+``BENCH_pipeline.json`` so CI records the perf trajectory run over
+run::
 
     python benchmarks/bench_pipeline.py --quick    # CI smoke
-    python benchmarks/bench_pipeline.py            # gated paper numbers
+    python benchmarks/bench_pipeline.py            # 50-trial groups
     python benchmarks/bench_pipeline.py --output /tmp/bench.json
 
-Exits non-zero if the modes disagree or any workload falls below its
-gate. Quick mode shrinks the workloads until fixed costs dominate, so
-its trial-group gates are regression tripwires (1.0x) rather than the
-full-mode 1.5x floor — CI runs the *full* bench for the vectorization
-gate.
+Exits non-zero if the chunk sizes disagree, or if stacked chunks are
+slower than one trial at a time.
 """
 
 from __future__ import annotations
@@ -44,130 +37,96 @@ import time
 
 import numpy as np
 
-from repro.defense.dataset import DatasetConfig, build_dataset
 from repro.experiments._emissions import array_split
+from repro.obs.trace import Tracer, activate
 from repro.sim.bench import write_bench_record
-from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
-from repro.sim.pipeline import StageProfile, build_pipeline
+from repro.sim.engine import EmissionSpec
+from repro.sim.pipeline import CHUNK_TRIALS, StageProfile, build_pipeline
 from repro.sim.results import ResultTable
-from repro.sim.spec import get_scenario
 from repro.sim.scenario import VictimDevice
+from repro.sim.spec import get_scenario
+
+#: Stacked chunks must be at least this fast relative to one trial at
+#: a time.
+MIN_SPEEDUP = 1.0
+
+#: Timed passes per chunk size; the best counts.
+REPEATS = 3
 
 
-def _trial_group(scenario_name: str, seed: int, n_trials: int) -> TrialGroup:
-    scenario = get_scenario(scenario_name).build("ok_google", 3.0)
-    return TrialGroup(
-        scenario,
-        VictimDevice.phone(seed=seed + 1),
-        EmissionSpec(array_split, ("ok_google", seed, 32)),
-        n_trials,
+def _identical(a, b) -> bool:
+    """Bitwise equality of two outcome lists, recordings included."""
+    return len(a) == len(b) and all(
+        x.success == y.success
+        and x.recognized_command == y.recognized_command
+        and x.accepted == y.accepted
+        and x.distance == y.distance
+        and np.array_equal(x.recording.samples, y.recording.samples)
+        for x, y in zip(a, b)
     )
+
+
+def _group(scenario_name: str, seed: int):
+    """The pipeline and trial context of one T2-class cell."""
+    scenario = get_scenario(scenario_name).build("ok_google", 3.0)
+    pipeline = build_pipeline(scenario, VictimDevice.phone(seed=seed + 1))
+    sources = EmissionSpec(array_split, ("ok_google", seed, 32)).sources()
+    return pipeline, pipeline.context(sources)
 
 
 def bench_trial_group(
-    label: str,
-    scenario_name: str,
-    quick: bool,
-    seed: int,
-    min_speedup: float,
+    label: str, scenario_name: str, quick: bool, seed: int
 ) -> dict:
-    """Scalar-vs-batch timing for one recognition trial-group cell."""
+    """Chunk-of-one vs stacked timing for one trial-group cell."""
     n_trials = 10 if quick else 50
-    group = _trial_group(scenario_name, seed, n_trials)
-    group.resolve_sources()  # warm the emission cache for both modes
-    timings = {}
+    pipeline, ctx = _group(scenario_name, seed)
+    best = {1: float("inf"), CHUNK_TRIALS: float("inf")}
     outcomes = {}
-    for mode in (False, True):
-        engine = ExperimentEngine(jobs=1, batch=mode)
-        started = time.perf_counter()
-        outcomes[mode] = engine.run_trial_groups(
-            [group], np.random.default_rng(seed), keep_recordings=False
-        )[0]
-        timings[mode] = time.perf_counter() - started
-    agree = len(outcomes[False]) == len(outcomes[True]) and all(
-        x.success == y.success and x.distance == y.distance
-        for x, y in zip(outcomes[False], outcomes[True])
-    )
+    for _ in range(REPEATS):
+        for chunk_trials in best:
+            rngs = np.random.default_rng(seed).spawn(n_trials)
+            started = time.perf_counter()
+            outcomes[chunk_trials] = pipeline.run_trials(
+                ctx, rngs, chunk_trials=chunk_trials
+            )
+            best[chunk_trials] = min(
+                best[chunk_trials], time.perf_counter() - started
+            )
     return {
         "workload": f"{label} ({n_trials} trials)",
-        "scalar_s": timings[False],
-        "batch_s": timings[True],
-        "speedup": timings[False] / timings[True],
-        "identical": agree,
-        "min_speedup": min_speedup,
-        "parity_bound": False,
-    }
-
-
-def bench_dataset_build(
-    quick: bool, seed: int, min_speedup: float
-) -> dict:
-    """Scalar-vs-batch timing for an F8-class defense dataset build.
-
-    Diagnostic row: the build is dominated by bitwise-parity DSP (the
-    zero-phase device filters and per-trial noise draws run
-    identically in both modes), so near-parity is the expectation and
-    the gate is a tripwire against pathological regressions only.
-    """
-    config = DatasetConfig(
-        commands=("ok_google", "alexa") if quick else
-        ("ok_google", "alexa", "add_milk"),
-        distances_m=(1.0, 2.0),
-        n_trials=2 if quick else 10,
-        attacker_kind="single_full",
-        seed=seed,
-    )
-    timings = {}
-    features = {}
-    for mode in (False, True):
-        started = time.perf_counter()
-        features[mode] = build_dataset(config, batch=mode).features
-        timings[mode] = time.perf_counter() - started
-    return {
-        "workload": (
-            f"defense dataset build ({config.n_trials} trials x "
-            f"{len(config.commands)} commands x "
-            f"{len(config.distances_m)} distances)"
-        ),
-        "scalar_s": timings[False],
-        "batch_s": timings[True],
-        "speedup": timings[False] / timings[True],
-        "identical": bool(
-            np.array_equal(features[False], features[True])
-        ),
-        "min_speedup": min_speedup,
-        "parity_bound": True,
+        "chunk1_s": best[1],
+        "chunked_s": best[CHUNK_TRIALS],
+        "chunk_trials": CHUNK_TRIALS,
+        "speedup": best[1] / best[CHUNK_TRIALS],
+        "identical": _identical(outcomes[1], outcomes[CHUNK_TRIALS]),
+        "min_speedup": MIN_SPEEDUP,
     }
 
 
 def profile_stages(quick: bool, seed: int) -> StageProfile:
-    """Per-stage wall-time breakdown of the T2 cell, both modes.
+    """Per-stage wall-time breakdown of the T2 cell, from spans.
 
-    A separate instrumented pass (the timed runs above stay
-    uninstrumented) through the pipeline's profiling hook, so the
-    JSON artifact records *where* each mode spends its time — the
-    first thing to look at when a gate trips.
+    A separate traced pass (the timed runs above stay untraced): the
+    executor records one span per stage call, so the JSON artifact
+    records *where* the time goes — the first thing to look at when
+    the gate trips.
     """
     n_trials = 10 if quick else 50
-    group = _trial_group("free_field", seed, n_trials)
-    pipeline = build_pipeline(group.scenario, group.device)
-    ctx = pipeline.context(group.resolve_sources())
-    profile = StageProfile()
-    for mode in (False, True):
-        rngs = np.random.default_rng(seed).spawn(n_trials)
-        pipeline.run_trials(ctx, rngs, batch=mode, profile=profile)
-    return profile
+    pipeline, ctx = _group("free_field", seed)
+    tracer = Tracer()
+    with activate(tracer):
+        pipeline.run_trials(ctx, np.random.default_rng(seed).spawn(n_trials))
+    return StageProfile.from_spans(tracer.spans)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="trial pipeline: scalar vs batched wall clock"
+        description="trial pipeline: chunk of one vs stacked chunks"
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small workloads (CI smoke); identical-output gates plus "
-        "regression tripwires instead of the full-mode 1.5x floor",
+        help="10-trial groups instead of 50 (CI smoke)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -177,43 +136,38 @@ def main(argv: list[str] | None = None) -> int:
         "BENCH_pipeline.json)",
     )
     args = parser.parse_args(argv)
-    # Quick mode's 10-trial cells spend most of their wall clock on
-    # fixed per-group costs (emission warm-up, the shared transmit
-    # precompute), so only the full-size workloads carry the 1.5x
-    # vectorization floor.
-    trial_gate = 1.0 if args.quick else 1.5
-    dataset_gate = 0.7 if args.quick else 0.85
     results = [
         bench_trial_group(
-            "T2 split array", "free_field", args.quick, args.seed,
-            trial_gate,
+            "T2 split array", "free_field", args.quick, args.seed
         ),
         bench_trial_group(
-            "walking attacker", "walking_attacker", args.quick,
-            args.seed, trial_gate,
+            "walking attacker", "walking_attacker", args.quick, args.seed
         ),
-        bench_dataset_build(args.quick, args.seed, dataset_gate),
     ]
     profile = profile_stages(args.quick, args.seed)
     write_bench_record(
         args.output,
         {
-            "benchmark": "trial-pipeline scalar vs batched",
+            "benchmark": "trial-pipeline chunk of one vs stacked",
             "quick": args.quick,
             "seed": args.seed,
+            "repeats": REPEATS,
             "results": results,
             "stages": profile.as_rows(),
         },
     )
     table = ResultTable(
-        title="trial pipeline: scalar vs batched (single worker)",
-        columns=["workload", "scalar s", "batch s", "speedup"],
+        title=(
+            "trial pipeline: chunk of one vs chunks of "
+            f"{CHUNK_TRIALS} (single worker, best of {REPEATS})"
+        ),
+        columns=["workload", "chunk 1 s", "chunked s", "speedup"],
     )
     for result in results:
         table.add_row(
             result["workload"],
-            result["scalar_s"],
-            result["batch_s"],
+            result["chunk1_s"],
+            result["chunked_s"],
             result["speedup"],
         )
     print(table.render())
@@ -221,18 +175,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.output}", file=sys.stderr)
     if not all(result["identical"] for result in results):
         print(
-            "FAIL: batched and scalar outputs disagree", file=sys.stderr
+            "FAIL: chunk sizes disagree on the outcomes", file=sys.stderr
         )
         return 1
     failed = [
-        result
-        for result in results
-        if result["speedup"] < result["min_speedup"]
+        result for result in results if result["speedup"] < MIN_SPEEDUP
     ]
     for result in failed:
         print(
             f"FAIL: {result['workload']} at {result['speedup']:.2f}x, "
-            f"gate {result['min_speedup']:.2f}x",
+            f"gate {MIN_SPEEDUP:.2f}x",
             file=sys.stderr,
         )
     if failed:

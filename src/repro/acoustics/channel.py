@@ -19,7 +19,7 @@ import numpy as np
 from repro.acoustics.geometry import Position, Room
 from repro.acoustics.propagation import PropagationModel
 from repro.acoustics.room import ImageSourceRoomModel
-from repro.dsp.signals import Signal, SignalBatch, Unit, mix, white_noise
+from repro.dsp.signals import Signal, SignalBatch, Unit, mix
 from repro.errors import GeometryError, SignalDomainError
 
 
@@ -85,19 +85,11 @@ class AcousticChannel:
     ) -> Signal:
         """Add one trial's ambient-noise draw to a clean waveform.
 
-        The stochastic half of :meth:`receive`, exposed so callers
-        that assemble the clean waveform themselves (the scenario
-        runner sums attack, motion and interference contributions
-        first) add noise through the *same* code path and draw.
+        The stochastic half of :meth:`receive`: :meth:`ambient_batch`
+        for a single generator. To change the ambient noise, override
+        :meth:`ambient_batch`, not this method.
         """
-        if self.ambient_noise_spl is None:
-            return total
-        if rng is None:
-            raise SignalDomainError(
-                "ambient noise enabled but no random generator given; "
-                "pass rng or set ambient_noise_spl=None"
-            )
-        return total + self._ambient_noise(total, rng)
+        return self.ambient_batch(total, [rng]).row(0)
 
     def transmit(
         self, sources: list[PlacedSource], receiver: Position
@@ -177,23 +169,6 @@ class AcousticChannel:
             )
         return mix(contributions)
 
-    def receive_batch(
-        self,
-        sources: list[PlacedSource],
-        receiver: Position,
-        rngs: list[np.random.Generator],
-    ) -> SignalBatch:
-        """One arrived waveform per trial generator, as a stacked batch.
-
-        Row ``i`` is bitwise identical to
-        ``receive(sources, receiver, rngs[i])``: the deterministic
-        transmission is computed once and each row adds that trial's
-        ambient-noise draw (the same :func:`white_noise` draw, from
-        the same generator, as the scalar path makes).
-        """
-        clean = self.transmit(sources, receiver)
-        return self.ambient_batch(clean, rngs)
-
     def ambient_batch(
         self,
         clean: Signal | SignalBatch,
@@ -201,14 +176,15 @@ class AcousticChannel:
     ) -> SignalBatch:
         """Per-trial ambient-noise copies of the transmitted waveform.
 
-        The noise-adding half of :meth:`receive_batch`, split out so
-        the trial kernel can pay for :meth:`transmit` once and then
-        stream trial chunks through here with bounded memory. ``clean``
-        is either one shared waveform (static scenarios — every trial
-        hears the same transmission) or an already-stacked
+        The one override point for ambient noise. The trial pipeline
+        pays for :meth:`transmit` once and then streams trial chunks
+        through here with bounded memory. ``clean`` is either one
+        shared waveform (static scenarios — every trial hears the same
+        transmission) or an already-stacked
         ``(n_trials, n_samples)`` batch (mobile scenarios — each row
         carries that trial's geometry gain). Row ``i`` of the result
-        adds the draw ``rngs[i]`` would make on the scalar path.
+        adds white noise drawn from ``rngs[i]``; with
+        ``ambient_noise_spl=None`` the rows are noise-free copies.
         """
         if not rngs:
             raise SignalDomainError(
@@ -268,17 +244,3 @@ class AcousticChannel:
                 "path exists"
             )
         return self.propagation.propagate(pressure_at_1m, d)
-
-    def _ambient_noise(
-        self, template: Signal, rng: np.random.Generator
-    ) -> Signal:
-        from repro.acoustics.spl import spl_to_pressure
-
-        rms_pa = spl_to_pressure(self.ambient_noise_spl)
-        return white_noise(
-            duration=template.duration,
-            sample_rate=template.sample_rate,
-            rng=rng,
-            rms_level=rms_pa,
-            unit=Unit.PASCAL,
-        ).padded_to(template.n_samples)

@@ -38,11 +38,7 @@ import numpy as np
 from repro.attack.array import grid_array
 from repro.attack.attacker import LongRangeAttacker, SingleSpeakerAttacker
 from repro.attack.baselines import AudiblePlaybackAttacker
-from repro.defense.features import (
-    FEATURE_NAMES,
-    feature_matrix,
-    feature_vector,
-)
+from repro.defense.features import FEATURE_NAMES, feature_matrix
 from repro.hardware.devices import (
     amazon_echo_microphone,
     android_phone_microphone,
@@ -228,7 +224,6 @@ def _cell_scenario(
 
 def build_dataset(
     config: DatasetConfig,
-    batch: bool = True,
     precision: str | None = None,
 ) -> LabeledDataset:
     """Synthesise the dataset a :class:`DatasetConfig` describes.
@@ -239,12 +234,8 @@ def build_dataset(
     command at :data:`GENUINE_REFERENCE_SPL`; trial variation comes
     from ambient noise, microphone self-noise and the talker-level
     gain. Every (command, distance, class) cell executes through the
-    shared trial pipeline — batched by default. ``batch=False`` walks
-    the scalar stage list instead *and* extracts features one
-    recording at a time, so the flag is an honest fully-scalar versus
-    fully-batched A/B; features and recordings are bitwise identical
-    either way, which the experiment-level differential suites check.
-    ``precision`` selects the pipeline's numeric mode
+    shared trial pipeline, and features come from one batched pass
+    over every recording. ``precision`` selects the pipeline's numeric mode
     (:func:`repro.sim.pipeline.resolve_precision`): ``"float64"`` is
     the bitwise-frozen golden default, ``"float32"`` the opt-in
     fast-math path whose features agree within tolerance rather than
@@ -297,7 +288,6 @@ def build_dataset(
             genuine_recordings = genuine_pipeline.run_trials(
                 genuine_pipeline.context(genuine_sources),
                 rng.spawn(config.n_trials),
-                batch=batch,
             )
             for recording, spl in zip(genuine_recordings, levels):
                 recordings.append(recording)
@@ -323,7 +313,6 @@ def build_dataset(
             attack_recordings = attack_pipeline.run_trials(
                 attack_pipeline.context(attack_sources),
                 rng.spawn(config.n_trials),
-                batch=batch,
             )
             for recording in attack_recordings:
                 recordings.append(recording)
@@ -336,22 +325,10 @@ def build_dataset(
                         "scenario": config.scenario,
                     }
                 )
-    if batch:
-        # Feature extraction is deferred to one batched pass over
-        # every recording; equal-length rows share stacked PSDs and
-        # envelopes.
-        features = feature_matrix(recordings, subset=names)
-    else:
-        # The scalar A/B stays scalar end to end: one recording per
-        # extraction call, bitwise identical rows to the batched pass.
-        features = np.stack(
-            [
-                feature_vector(recording, subset=names)
-                for recording in recordings
-            ]
-        )
+    # Feature extraction is deferred to one batched pass over every
+    # recording; equal-length rows share stacked PSDs and envelopes.
     return LabeledDataset(
-        features=features,
+        features=feature_matrix(recordings, subset=names),
         labels=np.asarray(labels, dtype=int),
         metadata=metadata,
         feature_names=tuple(names),

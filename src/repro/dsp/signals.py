@@ -398,8 +398,8 @@ class Signal:
 class SignalBatch:
     """A stack of equal-length waveforms sharing one rate and unit.
 
-    The container behind the vectorized trial kernel
-    (:mod:`repro.sim.batch`): ``samples`` is a two-dimensional
+    The container behind the trial pipeline's stage kernels
+    (:mod:`repro.sim.pipeline`): ``samples`` is a two-dimensional
     ``float64`` array (``float32`` input is preserved, for the opt-in
     fast-math path) of shape ``(n_signals, n_samples)`` — one trial
     (or one source) per row, time along the last axis. Batched DSP

@@ -11,17 +11,15 @@ Run everything (quick mode) on every core::
 Add ``--full`` for the full-resolution sweeps recorded in
 EXPERIMENTS.md, ``--seed N`` to vary the master seed, and ``--jobs N``
 to bound the worker pool (default: all CPU cores; ``--jobs 1`` runs
-serially). ``--no-batch`` disables the vectorized batch trial kernel
-and walks the scalar stage list instead. ``--scenario NAME`` runs any
-experiment — every one of the 16 accepts it — in a registered
-environment (``repro.sim.spec``): a reverberant room, a walking
-attacker, TV interference, outdoor wind; ``--list-scenarios`` prints
-the registry. ``--scenario random:<seed>`` instead *generates* a
-deterministic environment from the integer seed (``repro.sim.fuzz``) —
-random room, multi-leg trajectory, multiple interferers, weather —
-and echoes the generated spec to stderr for reproduction. Rendered
-tables go to stdout and are byte-identical for every ``--jobs`` value
-and for both batch modes; per-experiment timings go to stderr.
+serially). ``--scenario NAME`` runs any experiment — every one of the
+16 accepts it — in a registered environment (``repro.sim.spec``): a
+reverberant room, a walking attacker, TV interference, outdoor wind;
+``--list-scenarios`` prints the registry. ``--scenario random:<seed>``
+instead *generates* a deterministic environment from the integer seed
+(``repro.sim.fuzz``) — random room, multi-leg trajectory, multiple
+interferers, weather — and echoes the generated spec to stderr for
+reproduction. Rendered tables go to stdout and are byte-identical for
+every ``--jobs`` value; per-experiment timings go to stderr.
 
 ``--trace PATH`` writes a JSONL span trace of the whole run (pipeline
 stages, engine fan-out, stream-kernel cycles, shard lifecycles —
@@ -91,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes (default: cpu count; 1 = serial)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the vectorized batch trial kernel (scalar "
-        "per-trial walk of the same stage list; identical output, "
-        "slower)",
     )
     parser.add_argument(
         "--shards",
@@ -190,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     # pool start-up and per-process emission caches amortise across
     # the whole run.
     try:
-        engine = ExperimentEngine(jobs=args.jobs, batch=not args.no_batch)
+        engine = ExperimentEngine(jobs=args.jobs)
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -38,11 +38,11 @@ SUBSETS: dict[str, tuple[str, ...]] = {
 
 
 def _subset_row(
-    task: tuple[str, tuple[str, ...], DatasetConfig, int, bool],
+    task: tuple[str, tuple[str, ...], DatasetConfig, int],
 ) -> tuple[str, float, float]:
     """Worker: dataset -> fit -> AUC/accuracy for one feature subset."""
-    label, subset, config, split_seed, batch = task
-    dataset = build_dataset(config, batch=batch)
+    label, subset, config, split_seed = task
+    dataset = build_dataset(config)
     rng = np.random.default_rng(split_seed)
     train, test = dataset.split(0.6, rng)
     detector = InaudibleVoiceDetector(feature_subset=subset).fit(train)
@@ -80,7 +80,6 @@ def run(
                     seed=seed,
                 ),
                 seed + 3,
-                eng.batch,
             )
             for label, subset in SUBSETS.items()
         ]

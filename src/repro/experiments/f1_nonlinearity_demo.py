@@ -79,7 +79,7 @@ def run(
         built, android_phone_microphone(), recognize=False
     )
     (recording,) = pipeline.run_trials(
-        pipeline.context(list(emission.sources)), [rng], batch=False
+        pipeline.context(list(emission.sources)), [rng]
     )
 
     table = ResultTable(

@@ -6,7 +6,7 @@ deep below the attacked ones because a vocal tract radiates no coherent
 sub-50 Hz energy while nonlinear demodulation cannot avoid producing
 it — in the free field and in every registered environment
 (``scenario`` picks a room, interference or motion from the registry;
-the dataset records there through the batched trial pipeline).
+the dataset records there through the trial pipeline).
 
 Dataset synthesis dominates the cost and is fully determined by its
 :class:`DatasetConfig` (seed included), so the two attacker kinds are
@@ -26,11 +26,10 @@ from repro.sim.spec import get_scenario
 
 
 def _feature_rows(
-    task: tuple[DatasetConfig, bool],
+    config: DatasetConfig,
 ) -> list[tuple[str, str, float, float, float]]:
     """Worker: build one attacker kind's dataset and summarise it."""
-    config, batch = task
-    dataset = build_dataset(config, batch=batch)
+    dataset = build_dataset(config)
     genuine = dataset.features[dataset.labels == 0]
     attacked = dataset.features[dataset.labels == 1]
     rows = []
@@ -81,8 +80,7 @@ def run(
         for kind in ("single_full", "long_range")
     ]
     with ExperimentEngine.scoped(engine, jobs) as eng:
-        tasks = [(config, eng.batch) for config in configs]
-        for rows in eng.map(_feature_rows, tasks):
+        for rows in eng.map(_feature_rows, configs):
             for row in rows:
                 table.add_row(*row)
     return table

@@ -24,11 +24,11 @@ from repro.sim.spec import get_scenario
 
 
 def _roc_row(
-    task: tuple[DatasetConfig, int, bool],
+    task: tuple[DatasetConfig, int],
 ) -> tuple[str, float, float, float, float]:
     """Worker: dataset -> split -> fit -> ROC summary for one kind."""
-    config, split_seed, batch = task
-    dataset = build_dataset(config, batch=batch)
+    config, split_seed = task
+    dataset = build_dataset(config)
     rng = np.random.default_rng(split_seed)
     train, test = dataset.split(0.6, rng)
     detector = InaudibleVoiceDetector().fit(train)
@@ -77,7 +77,7 @@ def run(
         for kind in ("single_full", "long_range")
     ]
     with ExperimentEngine.scoped(engine, jobs) as eng:
-        tasks = [(config, seed + 7, eng.batch) for config in configs]
+        tasks = [(config, seed + 7) for config in configs]
         for row in eng.map(_roc_row, tasks):
             table.add_row(*row)
     return table

@@ -77,7 +77,7 @@ def run(
     ]
     with ExperimentEngine.scoped(engine, jobs) as eng:
         detector = InaudibleVoiceDetector().fit(
-            build_dataset(train_config, batch=eng.batch)
+            build_dataset(train_config)
         )
         per_depth = eng.run_trial_groups(groups, rng)
     table = ResultTable(

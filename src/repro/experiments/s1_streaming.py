@@ -43,7 +43,7 @@ from repro.stream.shard import ShardedFleetSimulator
 
 
 def train_detector(
-    scenario: str, seed: int, n_trials: int, batch: bool = True
+    scenario: str, seed: int, n_trials: int
 ) -> InaudibleVoiceDetector:
     """A detector fitted on a small scenario-matched dataset.
 
@@ -58,9 +58,7 @@ def train_detector(
         scenario=scenario,
         seed=seed,
     )
-    return InaudibleVoiceDetector().fit(
-        build_dataset(config, batch=batch)
-    )
+    return InaudibleVoiceDetector().fit(build_dataset(config))
 
 
 def _outcomes_bitwise(
@@ -99,7 +97,7 @@ def chunked_parity_probes(
 ) -> list[tuple[str, int, GuardedOutcome, bool]]:
     """Stream both probes at each chunk size against the offline guard.
 
-    Builds one attack and one genuine probe through the batched
+    Builds one attack and one genuine probe through the trial
     pipeline synthesis the fleet uses, then returns
     ``(kind, chunk_ms, online_outcome, bitwise)`` per case. This is
     the *single* statement of the parity probe — the S1 table and the
@@ -166,17 +164,17 @@ def run(
     """Parity, dispositions and stream-time latency of the online guard.
 
     ``shards`` routes the fleet through the process-sharded driver
-    (:class:`~repro.stream.shard.ShardedFleetSimulator`). The engine's
-    batch flag selects the fleet's structure-of-arrays kernel
-    (``--no-batch`` streams every device through the scalar per-stream
-    guard instead). ``streams`` overrides the fleet size. The rendered
-    table — dispositions, latencies and the fleet digest row — is
-    byte-identical for every shard count *and* both kernel paths at
-    any fleet size (the CI shard-determinism job diffs ``--shards
-    1/2/4`` and ``--no-batch`` stdout); wall-clock figures
-    (streams/core/second, per-shard balance) go to stderr, like the
-    CLI's timing lines.
+    (:class:`~repro.stream.shard.ShardedFleetSimulator`); the fleet
+    runs :class:`~repro.stream.fleet.FleetConfig`'s default kernel.
+    ``streams`` overrides the fleet size. The rendered table —
+    dispositions, latencies and the fleet digest row — is
+    byte-identical for every shard count at any fleet size (the CI
+    shard-determinism job diffs ``--shards 1/2/4`` stdout);
+    wall-clock figures (streams/core/second, per-shard balance) go to
+    stderr, like the CLI's timing lines. ``jobs`` and ``engine`` exist
+    for interface uniformity; the fleet brings its own workers.
     """
+    del jobs, engine
     spec = get_scenario(scenario)
     chunk_ms = (10, 50, 250) if quick else (5, 10, 50, 250)
     n_streams = (8 if quick else 32) if streams is None else streams
@@ -194,112 +192,106 @@ def run(
             "latency ms",
         ],
     )
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        detector = train_detector(
-            scenario, seed, n_trials=2 if quick else 4, batch=eng.batch
-        )
-        for kind, ms, online, bitwise in chunked_parity_probes(
-            scenario, seed, chunk_ms, detector
-        ):
-            label, score = _describe(online)
-            table.add_row(
-                kind,
-                ms,
-                label,
-                score,
-                "yes" if bitwise else "no",
-                "",
-            )
-        # The fleet: online segmentation end to end. Worker and shard
-        # counts never change results (pinned by the determinism
-        # suites), so a fixed small pool keeps the table byte-stable
-        # everywhere.
-        fleet_config = FleetConfig(
-            scenario=scenario,
-            n_streams=n_streams,
-            utterances_per_stream=1,
-            attack_fraction=0.5,
-            seed=seed + 2,
-            workers=4,
-            shards=shards,
-            vectorized=eng.batch,
-        )
-        if shards == 1:
-            report = FleetSimulator(detector, fleet_config).run()
-        else:
-            report = ShardedFleetSimulator(
-                detector, fleet_config
-            ).run()
-        cores = min(shards, os.cpu_count() or 1)
-        balance = (
-            min(report.shard_wall_seconds)
-            / max(report.shard_wall_seconds)
-            if report.shard_wall_seconds
-            and max(report.shard_wall_seconds) > 0
-            else 1.0
-        )
-        print(
-            f"[S1] fleet shards={shards}: "
-            f"{report.realtime_factor:.0f} sustained streams, "
-            f"{report.realtime_factor / cores:.0f} streams/core/"
-            f"second, shard balance {balance:.2f}",
-            file=sys.stderr,
-        )
-        # Exact-quantile latency stats from the raw per-utterance
-        # samples (repro.obs.metrics) — percentiles, not a sketch.
-        stats = report.latency_stats()
-        mean_latency_ms = 1000.0 * stats.mean if stats.count else 0.0
-        p50_latency_ms = (
-            1000.0 * stats.quantile(0.5) if stats.count else 0.0
-        )
-        p99_latency_ms = (
-            1000.0 * stats.quantile(0.99) if stats.count else 0.0
-        )
-        max_latency_ms = 1000.0 * stats.max if stats.count else 0.0
+    detector = train_detector(scenario, seed, n_trials=2 if quick else 4)
+    for kind, ms, online, bitwise in chunked_parity_probes(
+        scenario, seed, chunk_ms, detector
+    ):
+        label, score = _describe(online)
         table.add_row(
-            f"fleet ({report.config.n_streams} streams)",
-            int(round(report.config.chunk_s * 1000)),
-            (
-                f"{report.n_vetoed} veto / {report.n_executed} execute"
-                f" / {report.n_rejected} reject"
-            ),
-            "",
-            "",
-            mean_latency_ms,
-        )
-        table.add_row(
-            "fleet p50 latency",
-            int(round(report.config.chunk_s * 1000)),
-            f"{stats.count} utterance samples",
-            "",
-            "",
-            p50_latency_ms,
-        )
-        table.add_row(
-            "fleet p99 latency",
-            int(round(report.config.chunk_s * 1000)),
-            f"{stats.count} utterance samples",
-            "",
-            "",
-            p99_latency_ms,
-        )
-        table.add_row(
-            "fleet worst-case latency",
-            int(round(report.config.chunk_s * 1000)),
-            f"{report.n_utterances} utterances segmented",
-            "",
-            "",
-            max_latency_ms,
-        )
-        # The whole fleet's deterministic fingerprint: identical for
-        # every --shards/--jobs value, which is exactly what the CI
-        # shard-determinism job diffs byte-for-byte.
-        table.add_row(
-            "shard digest",
-            "",
-            report.digest_hex()[:16],
-            "",
-            "",
+            kind,
+            ms,
+            label,
+            score,
+            "yes" if bitwise else "no",
             "",
         )
+    # The fleet: online segmentation end to end. Worker and shard
+    # counts never change results (pinned by the determinism
+    # suites), so a fixed small pool keeps the table byte-stable
+    # everywhere.
+    fleet_config = FleetConfig(
+        scenario=scenario,
+        n_streams=n_streams,
+        utterances_per_stream=1,
+        attack_fraction=0.5,
+        seed=seed + 2,
+        workers=4,
+        shards=shards,
+    )
+    if shards == 1:
+        report = FleetSimulator(detector, fleet_config).run()
+    else:
+        report = ShardedFleetSimulator(detector, fleet_config).run()
+    cores = min(shards, os.cpu_count() or 1)
+    balance = (
+        min(report.shard_wall_seconds)
+        / max(report.shard_wall_seconds)
+        if report.shard_wall_seconds
+        and max(report.shard_wall_seconds) > 0
+        else 1.0
+    )
+    print(
+        f"[S1] fleet shards={shards}: "
+        f"{report.realtime_factor:.0f} sustained streams, "
+        f"{report.realtime_factor / cores:.0f} streams/core/"
+        f"second, shard balance {balance:.2f}",
+        file=sys.stderr,
+    )
+    # Exact-quantile latency stats from the raw per-utterance
+    # samples (repro.obs.metrics) — percentiles, not a sketch.
+    stats = report.latency_stats()
+    mean_latency_ms = 1000.0 * stats.mean if stats.count else 0.0
+    p50_latency_ms = (
+        1000.0 * stats.quantile(0.5) if stats.count else 0.0
+    )
+    p99_latency_ms = (
+        1000.0 * stats.quantile(0.99) if stats.count else 0.0
+    )
+    max_latency_ms = 1000.0 * stats.max if stats.count else 0.0
+    table.add_row(
+        f"fleet ({report.config.n_streams} streams)",
+        int(round(report.config.chunk_s * 1000)),
+        (
+            f"{report.n_vetoed} veto / {report.n_executed} execute"
+            f" / {report.n_rejected} reject"
+        ),
+        "",
+        "",
+        mean_latency_ms,
+    )
+    table.add_row(
+        "fleet p50 latency",
+        int(round(report.config.chunk_s * 1000)),
+        f"{stats.count} utterance samples",
+        "",
+        "",
+        p50_latency_ms,
+    )
+    table.add_row(
+        "fleet p99 latency",
+        int(round(report.config.chunk_s * 1000)),
+        f"{stats.count} utterance samples",
+        "",
+        "",
+        p99_latency_ms,
+    )
+    table.add_row(
+        "fleet worst-case latency",
+        int(round(report.config.chunk_s * 1000)),
+        f"{report.n_utterances} utterances segmented",
+        "",
+        "",
+        max_latency_ms,
+    )
+    # The whole fleet's deterministic fingerprint: identical for
+    # every --shards/--jobs value, which is exactly what the CI
+    # shard-determinism job diffs byte-for-byte.
+    table.add_row(
+        "shard digest",
+        "",
+        report.digest_hex()[:16],
+        "",
+        "",
+        "",
+    )
     return table

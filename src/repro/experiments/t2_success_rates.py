@@ -13,8 +13,7 @@ concurrently across cells.
 ``scenario`` selects the environment from the registry
 (``repro.sim.spec``): the same four cells replay inside a reverberant
 living room, against a walking attacker, under TV interference, and
-so on — the batched kernel covers every registered environment with
-no scalar fallback.
+so on — the trial pipeline runs every registered environment.
 """
 
 from __future__ import annotations

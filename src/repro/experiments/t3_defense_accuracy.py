@@ -9,8 +9,8 @@ what the attacker will say or from where). Rows:
 * ``held-out distance`` — train near, test far;
 * ``svm`` — the linear-SVM variant on the random split.
 
-The dataset is synthesised once in the parent — through the batched
-trial pipeline, in the environment ``scenario`` names (a reverberant
+The dataset is synthesised once in the parent — through the trial
+pipeline, in the environment ``scenario`` names (a reverberant
 living room, TV interference, ...) — and the four train/evaluate
 cells (small feature matrices, cheap to pickle) fan out via the
 engine.
@@ -71,7 +71,7 @@ def run(
         columns=["split", "model", "accuracy", "TPR", "FPR", "n test"],
     )
     with ExperimentEngine.scoped(engine, jobs) as eng:
-        dataset = build_dataset(config, batch=eng.batch)
+        dataset = build_dataset(config)
         train, test = dataset.split(0.6, rng)
         held_command = "add_milk"
         train_cmd = dataset.filter(

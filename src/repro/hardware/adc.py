@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.filters import low_pass, low_pass_array
-from repro.dsp.resample import resample, resample_array
+from repro.dsp.filters import low_pass_array
+from repro.dsp.resample import resample_array
 from repro.dsp.signals import Signal, Unit
 from repro.errors import HardwareModelError
 
@@ -67,37 +67,24 @@ class AnalogToDigitalConverter:
         return 2.0 / (2**self.bit_depth - 1)
 
     def convert(self, analog: Signal) -> Signal:
-        """Digitise an analog waveform.
+        """Digitise one analog waveform: :meth:`convert_batch` of one.
 
-        Steps: anti-alias low-pass at the *input* rate, polyphase
-        resample to the device rate, normalise by full scale, clip to
-        [-1, 1], quantise. Output unit is ``Unit.DIGITAL``.
+        Output unit is ``Unit.DIGITAL``.
         """
-        if analog.sample_rate < self.sample_rate:
-            raise HardwareModelError(
-                f"ADC input rate {analog.sample_rate} Hz below the "
-                f"device rate {self.sample_rate} Hz; the microphone "
-                "chain must run at or above the device rate"
-            )
-        cutoff = self.antialias_cutoff_fraction * self.sample_rate / 2.0
-        if cutoff < analog.nyquist * 0.999:
-            filtered = low_pass(analog, cutoff, order=8)
-        else:
-            filtered = analog
-        sampled = resample(filtered, self.sample_rate)
-        return Signal(
-            self._digitize(sampled.samples), self.sample_rate, Unit.DIGITAL
+        digital = self.convert_batch(
+            analog.samples[np.newaxis, :], analog.sample_rate
         )
+        return Signal(digital[0], self.sample_rate, Unit.DIGITAL)
 
     def convert_batch(
         self, analog: np.ndarray, input_rate: float
     ) -> np.ndarray:
         """Digitise a stacked ``(n_signals, n_samples)`` batch.
 
-        Row-for-row bitwise identical to :meth:`convert`: the
-        anti-alias filter and polyphase resampler run along the last
-        axis and the normalise/clip/quantise stages are elementwise.
-        Returns the digital sample matrix at :attr:`sample_rate`.
+        Steps, row by row: anti-alias low-pass at the *input* rate,
+        polyphase resample to the device rate, normalise by full
+        scale, clip to [-1, 1], quantise. Returns the digital sample
+        matrix at :attr:`sample_rate`.
         """
         analog = np.asarray(analog, dtype=np.float64)
         if analog.ndim != 2:
@@ -120,7 +107,7 @@ class AnalogToDigitalConverter:
         return self._digitize(sampled)
 
     def _digitize(self, samples: np.ndarray) -> np.ndarray:
-        """Normalise, clip and quantise raw samples (any shape)."""
+        """Normalise, clip and quantise raw samples."""
         normalized = samples / self.full_scale
         clipped = np.clip(normalized, -1.0, 1.0)
         step = self.quantization_step

@@ -21,12 +21,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from repro.acoustics.spl import spl_to_pressure
-from repro.dsp.filters import (
-    high_pass,
-    high_pass_array,
-    low_pass,
-    low_pass_array,
-)
+from repro.dsp.filters import high_pass_array, low_pass_array
 from repro.dsp.signals import Signal, SignalBatch, Unit
 from repro.hardware.adc import AnalogToDigitalConverter
 from repro.hardware.nonlinearity import PolynomialNonlinearity
@@ -140,9 +135,7 @@ class Microphone:
 
         Composed of the chain's two halves — :meth:`record_analog`
         (front-end through self-noise) and :meth:`digitize` (ADC) —
-        which the trial pipeline also runs as separate stages; the
-        split is pure code motion, so both entry points are bitwise
-        identical.
+        which the trial pipeline runs as separate stacked stages.
 
         Parameters
         ----------
@@ -150,9 +143,8 @@ class Microphone:
             Sound pressure at the diaphragm, pascals, at a rate >= the
             device rate (use the acoustic simulation rate).
         rng:
-            Random generator for self-noise; required unless the
-            configured noise floor is ``None``-like (not supported —
-            pass a generator; determinism comes from seeding).
+            Random generator for self-noise; required (determinism
+            comes from seeding).
 
         Returns
         -------
@@ -164,81 +156,44 @@ class Microphone:
     def record_analog(
         self, pressure: Signal, rng: np.random.Generator | None = None
     ) -> Signal:
-        """The analog half of :meth:`record`: everything before the ADC.
+        """The analog half of :meth:`record`: a stack of one."""
+        return self.record_analog_batch(
+            SignalBatch.tiled(pressure, 1), [rng]
+        ).row(0)
+
+    def digitize(self, analog: Signal) -> Signal:
+        """The digital half of :meth:`record`: a stack of one."""
+        return self.digitize_batch(SignalBatch.tiled(analog, 1)).row(0)
+
+    def record_analog_batch(
+        self,
+        pressure: SignalBatch,
+        rngs: list[np.random.Generator | None],
+    ) -> SignalBatch:
+        """Everything before the ADC, over a stack of waveforms.
 
         Front-end attenuation, full-scale normalisation, the
         polynomial nonlinearity, the anti-alias and DC-block filters
-        and the self-noise draw — returning the noisy analog waveform
-        still at the acoustic rate.
+        run as one ``axis=-1`` operation over the whole
+        ``(n_trials, n_samples)`` stack; row ``i`` then adds the
+        self-noise drawn from ``rngs[i]``. Returns the noisy analog
+        stack, still at the acoustic rate.
         """
         if pressure.unit != Unit.PASCAL:
             raise SignalDomainError(
-                "record expects a pressure waveform in pascals, got "
+                "record expects pressure waveforms in pascals, got "
                 f"unit {pressure.unit!r}"
-            )
-        if rng is None:
-            raise HardwareModelError(
-                "record requires a numpy Generator for self-noise; "
-                "seed one explicitly for reproducibility"
-            )
-        conditioned = self._front_end(pressure)
-        drive = conditioned.samples / self.full_scale_pressure
-        shaped = self.config.nonlinearity.apply_array(drive)
-        analog = Signal(shaped, pressure.sample_rate, Unit.VOLT)
-        cutoff = min(
-            self.config.effective_antialias_cutoff, analog.nyquist * 0.99
-        )
-        filtered = low_pass(analog, cutoff, order=8)
-        filtered = high_pass(filtered, self.config.dc_block_hz, order=1)
-        return self._add_self_noise(filtered, rng)
-
-    def digitize(self, analog: Signal) -> Signal:
-        """The digital half of :meth:`record`: resample, clip, quantise."""
-        adc = AnalogToDigitalConverter(
-            sample_rate=self.config.device_rate, full_scale=1.0
-        )
-        return adc.convert(analog)
-
-    def record_batch(
-        self, pressure: SignalBatch, rngs: list[np.random.Generator]
-    ) -> SignalBatch:
-        """Record a stack of pressure waveforms, one per trial.
-
-        The batched counterpart of :meth:`record` for the vectorized
-        trial kernel: every chain stage (front-end shaping, polynomial
-        nonlinearity, anti-alias and DC-block filtering, ADC) runs as
-        one ``axis=-1`` operation over the whole
-        ``(n_trials, n_samples)`` stack, while self-noise is drawn from
-        ``rngs[i]`` for row ``i`` — the *same* draw the scalar path
-        makes — so row ``i`` of the result is bitwise identical to
-        ``record(pressure.row(i), rngs[i])``. Split into
-        :meth:`record_analog_batch` and :meth:`digitize_batch`,
-        mirroring the scalar chain's halves, so the trial pipeline can
-        run them as separate stages.
-        """
-        return self.digitize_batch(
-            self.record_analog_batch(pressure, rngs)
-        )
-
-    def record_analog_batch(
-        self, pressure: SignalBatch, rngs: list[np.random.Generator]
-    ) -> SignalBatch:
-        """The analog half of :meth:`record_batch`, over a whole stack."""
-        if pressure.unit != Unit.PASCAL:
-            raise SignalDomainError(
-                "record_batch expects pressure waveforms in pascals, "
-                f"got unit {pressure.unit!r}"
             )
         if len(rngs) != pressure.n_signals:
             raise HardwareModelError(
                 f"{pressure.n_signals} stacked waveforms but "
-                f"{len(rngs)} generators; record_batch needs exactly "
-                "one per trial"
+                f"{len(rngs)} generators; record needs exactly one "
+                "per trial"
             )
         if any(rng is None for rng in rngs):
             raise HardwareModelError(
-                "record_batch requires a numpy Generator per trial; "
-                "seed them explicitly for reproducibility"
+                "record requires a numpy Generator for self-noise; "
+                "seed one explicitly for reproducibility"
             )
         conditioned = self._front_end_array(
             pressure.samples, pressure.sample_rate
@@ -247,8 +202,8 @@ class Microphone:
         shaped = self.config.nonlinearity.apply_array(drive)
         # Non-finite samples (drive outside the nonlinearity's validity
         # range) propagate through the filters and are rejected by the
-        # SignalBatch constructor below — same guarantee as the scalar
-        # path, without an extra full-stack isfinite scan here.
+        # SignalBatch constructor below, without an extra full-stack
+        # isfinite scan here.
         rate = pressure.sample_rate
         cutoff = min(
             self.config.effective_antialias_cutoff, (rate / 2.0) * 0.99
@@ -272,7 +227,7 @@ class Microphone:
         return SignalBatch.adopt(noisy, rate, Unit.VOLT)
 
     def digitize_batch(self, analog: SignalBatch) -> SignalBatch:
-        """The digital half of :meth:`record_batch`: ADC per row."""
+        """The ADC over a stack of analog waveforms, row by row."""
         adc = AnalogToDigitalConverter(
             sample_rate=self.config.device_rate, full_scale=1.0
         )
@@ -280,15 +235,6 @@ class Microphone:
         return SignalBatch.adopt(
             digital, self.config.device_rate, Unit.DIGITAL
         )
-
-    def _front_end(self, pressure: Signal) -> Signal:
-        """Apply the cover/port ultrasonic attenuation, if any."""
-        shaped = self._front_end_array(
-            pressure.samples, pressure.sample_rate
-        )
-        if shaped is pressure.samples:
-            return pressure
-        return pressure.replace(samples=shaped)
 
     def _front_end_array(
         self, samples: np.ndarray, sample_rate: float
@@ -310,18 +256,6 @@ class Microphone:
         response[freqs > hi] = gain
         return sp_fft.irfft(spectrum * response, n=n, axis=-1)
 
-    def _add_self_noise(
-        self, analog: Signal, rng: np.random.Generator
-    ) -> Signal:
-        noise_rms_pa = spl_to_pressure(self.config.noise_floor_spl)
-        noise_rms_digital = (
-            noise_rms_pa
-            * abs(self.config.nonlinearity.a1)
-            / self.full_scale_pressure
-        )
-        noise = rng.normal(0.0, noise_rms_digital, analog.n_samples)
-        return analog.replace(samples=analog.samples + noise)
-
     def demodulation_gain(self, carrier_spl: float) -> float:
         """Analytic small-signal demodulation gain at a carrier level.
 
@@ -339,3 +273,4 @@ class Microphone:
         if a.a1 == 0:
             raise HardwareModelError("a1 must be non-zero")
         return float(2.0 * abs(a.a2) * u_c / abs(a.a1))
+

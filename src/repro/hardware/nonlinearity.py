@@ -78,8 +78,9 @@ class PolynomialNonlinearity:
         Shape-agnostic and elementwise: a stacked
         ``(n_trials, n_samples)`` batch produces bitwise the same
         values as applying the polynomial row by row, which is what
-        lets :mod:`repro.sim.batch` push whole trial batches through
-        the transducer model in one call.
+        lets the trial pipeline (:mod:`repro.sim.pipeline`) push whole
+        trial chunks through the transducer model in one call — for
+        subclasses too, which must keep it elementwise.
         """
         x = np.asarray(x, dtype=np.float64)
         result = np.zeros_like(x)

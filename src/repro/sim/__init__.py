@@ -12,22 +12,16 @@
 ``pipeline``
     The declarative trial chain: a :class:`TrialPipeline` of named
     :class:`Stage` objects (transmit -> motion-gain -> interference ->
-    ambient -> microphone -> adc -> recognize), each with a scalar and
-    an optional batch kernel, walked by one executor in either mode —
-    batch-vs-scalar bitwise identity holds by construction.
+    ambient -> microphone -> adc -> recognize), each one kernel over a
+    stacked trial chunk, walked by one executor whose outputs do not
+    depend on the chunk size.
 ``runner``
-    Executes a scenario trial by trial: the scalar driver over the
-    shared pipeline, returning per-trial outcomes.
+    Executes a scenario trial by trial — each trial a chunk of one
+    through the shared pipeline — returning per-trial outcomes.
 ``engine``
     Parallel cached execution: fans trial groups over a process pool
     with ``SeedSequence``-spawned per-trial streams (bit-identical for
     any ``jobs``) and a per-process emission/synthesis cache.
-``batch``
-    The batched driver over the shared pipeline: one deterministic
-    transmission per trial group, per-trial stages as stacked 2-D
-    operations — bitwise identical to the scalar runner, ~an order of
-    magnitude faster on trial-heavy groups. The engine uses it by
-    default.
 ``sweep``
     Parameter sweeps (distance, power, speaker count) built on the
     engine, with emission caching so sweeps stay tractable.
@@ -73,7 +67,6 @@ from repro.sim.pipeline import (
     build_pipeline,
 )
 from repro.sim.runner import ScenarioRunner, TrialOutcome
-from repro.sim.batch import BatchSupport, run_group_batch, supports_batch
 from repro.sim.engine import (
     EmissionCache,
     EmissionSpec,
@@ -97,7 +90,6 @@ __all__ = [
     "append_trajectory",
     "machine_metadata",
     "AttackerMotion",
-    "BatchSupport",
     "InterferenceSource",
     "InterferenceSpec",
     "RIG_POSITION",
@@ -129,10 +121,8 @@ __all__ = [
     "interference_waveform",
     "process_cache",
     "register_scenario",
-    "run_group_batch",
     "scenario_names",
     "stable_key",
-    "supports_batch",
     "success_rate",
     "accuracy_over_distances",
     "attack_range_m",

@@ -19,11 +19,11 @@ their noise draws. Three observations make the whole suite scale:
 3. **The serial path is the degenerate case.** With ``jobs=1`` the
    engine runs every task in-process with no executor, identical code
    path, identical numbers.
-4. **Inside each worker the hot path is vectorized.** By default trial
-   chunks run through :mod:`repro.sim.batch`: the deterministic
-   transmission is computed once per group and the per-trial noise /
-   microphone / ADC stages execute as stacked 2-D operations, bitwise
-   identical to the scalar loop (``batch=False``, CLI ``--no-batch``).
+4. **Inside each worker the hot path is vectorized.** Trial chunks
+   run through the shared :class:`~repro.sim.pipeline.TrialPipeline`:
+   the deterministic transmission is computed once per group and the
+   per-trial noise / microphone / ADC stages execute as stacked 2-D
+   operations.
 
 The engine is the substrate under :mod:`repro.sim.sweep`, all the
 ``repro.experiments`` modules and the ``python -m repro.experiments``
@@ -151,10 +151,19 @@ class TrialGroup:
         return list(self.emission)
 
 
+@dataclass(frozen=True)
+class _TrialTask:
+    """One worker task: a contiguous chunk of one group's trials."""
+
+    group: TrialGroup
+    rngs: tuple[np.random.Generator, ...]
+    keep_recordings: bool
+    precision: str
+    trace: bool = False
+
+
 def _run_trial_batch(
-    task: tuple[
-        TrialGroup, tuple[np.random.Generator, ...], bool, bool, str
-    ],
+    task: _TrialTask,
 ) -> list[TrialOutcome] | tuple[list[TrialOutcome], list]:
     """Worker: execute one chunk of a group's trials.
 
@@ -162,52 +171,44 @@ def _run_trial_batch(
     here, inside the executing process, through its cache. A thin
     driver over the shared declarative pipeline
     (:mod:`repro.sim.pipeline`): build the group's stage list once,
-    precompute the trial-invariant transmissions, then execute the
-    generators through it. With ``use_batch`` set (the default engine
-    mode) the pipeline runs its batched executor — one transmission,
-    stacked 2-D trial operations — and falls back to the scalar walk
-    of the *same* stage list for groups whose
-    :meth:`~repro.sim.pipeline.TrialPipeline.batch_support` fold
-    refuses. Both modes consume the same spawned generators in the
-    same per-stage order, so their outcomes are bitwise identical.
+    precompute the trial-invariant transmissions, then run the
+    generators through its executor — one transmission, stacked 2-D
+    trial operations.
 
     When the caller only wants success statistics,
     ``keep_recordings=False`` drops each outcome's device-rate
     waveform *before* it is pickled back — at 50 trials per cell the
     recordings, not the results, are the dominant IPC cost.
 
-    An optional sixth tuple element requests tracing. Pool workers
-    cannot see the coordinator's ambient tracer, so the flag travels
-    with the task; a traced worker installs a fresh local
+    ``trace`` requests tracing. Pool workers cannot see the
+    coordinator's ambient tracer, so the flag travels with the task;
+    a traced worker installs a fresh local
     :class:`~repro.obs.trace.Tracer`, wraps the run in a
     ``trial-batch`` span (pipeline stage spans nest under it) and
     returns ``(outcomes, spans)`` for the coordinator to adopt.
     Tracing never touches the trial computation itself, so outcomes
     stay bitwise identical either way.
     """
-    group, rngs, keep_recordings, use_batch, precision = task[:5]
-    trace = bool(task[5]) if len(task) > 5 else False
+    group = task.group
 
     def execute() -> list[TrialOutcome]:
         pipeline = build_pipeline(
-            group.scenario, group.device, precision=precision
+            group.scenario, group.device, precision=task.precision
         )
         ctx = pipeline.context(group.resolve_sources())
-        outcomes = pipeline.run_trials(ctx, rngs, batch=use_batch)
-        if not keep_recordings:
+        outcomes = pipeline.run_trials(ctx, task.rngs)
+        if not task.keep_recordings:
             outcomes = [
                 replace(outcome, recording=None)
                 for outcome in outcomes
             ]
         return outcomes
 
-    if not trace:
+    if not task.trace:
         return execute()
     local = Tracer()
     with activate_tracer(local):
-        with local.span(
-            "trial-batch", trials=len(rngs), batched=use_batch
-        ):
+        with local.span("trial-batch", trials=len(task.rngs)):
             outcomes = execute()
     return outcomes, local.spans
 
@@ -307,14 +308,6 @@ class ExperimentEngine:
         Worker process count; ``None`` means ``os.cpu_count()``.
         ``jobs=1`` is the serial degenerate case: no pool, no pickling,
         same numbers. Results are bit-identical for every value.
-    batch:
-        Whether trial chunks run through the vectorized kernel
-        (:mod:`repro.sim.batch`) — one deterministic transmission per
-        group, stacked 2-D trial operations — instead of the scalar
-        per-trial loop. Defaults to ``True``; both modes are bitwise
-        identical (the kernel falls back to the scalar path for groups
-        it cannot prove equivalent), so this flag changes wall clock,
-        never numbers. The CLI exposes it as ``--no-batch``.
     precision:
         ``"float64"`` (the default golden mode) or ``"float32"`` (the
         opt-in fast-math path); ``None`` defers to the
@@ -332,7 +325,6 @@ class ExperimentEngine:
     def __init__(
         self,
         jobs: int | None = None,
-        batch: bool = True,
         precision: str | None = None,
     ) -> None:
         if jobs is None:
@@ -343,12 +335,7 @@ class ExperimentEngine:
             )
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if not isinstance(batch, bool):
-            raise ExperimentError(
-                f"batch must be a boolean, got {batch!r}"
-            )
         self.jobs = jobs
-        self.batch = batch
         self.precision = resolve_precision(precision)
         self._pool: ProcessPoolExecutor | None = None
 
@@ -403,7 +390,6 @@ class ExperimentEngine:
         groups: Sequence[TrialGroup],
         rng: np.random.Generator,
         keep_recordings: bool = True,
-        batch: bool | None = None,
     ) -> list[list[TrialOutcome]]:
         """Execute every group's trials, fanned out together.
 
@@ -417,10 +403,6 @@ class ExperimentEngine:
         ``keep_recordings=False`` nulls each outcome's ``recording``
         (identically at every ``jobs`` value) so success-rate waves do
         not pickle waveforms back from the pool.
-
-        ``batch`` overrides the engine-wide vectorized-kernel setting
-        for this call (``None`` inherits it). Outcomes are bitwise
-        identical either way; only throughput changes.
         """
         groups = list(groups)
         if not groups:
@@ -430,25 +412,23 @@ class ExperimentEngine:
                 raise ExperimentError(
                     f"n_trials must be >= 1, got {group.n_trials}"
                 )
-        use_batch = self.batch if batch is None else bool(batch)
         tracer = current_tracer()
         trace = tracer is not None
         # Coarse batches keep emission materialisation local: with
         # groups >= jobs each group stays on one worker, so its
         # emission is built exactly once in the whole pool.
         batches_per_group = max(1, self.jobs // len(groups))
-        tasks: list[tuple[TrialGroup, tuple]] = []
+        tasks: list[_TrialTask] = []
         widths: list[int] = []
         for group, group_rng in zip(groups, _spawn(rng, len(groups))):
             trial_rngs = _spawn(group_rng, group.n_trials)
             batches = partition_evenly(trial_rngs, batches_per_group)
             widths.append(len(batches))
             tasks.extend(
-                (
+                _TrialTask(
                     group,
                     tuple(batch),
                     keep_recordings,
-                    use_batch,
                     self.precision,
                     trace,
                 )

@@ -28,8 +28,8 @@ seed denotes; that is fine (no golden covers a generated scenario) but
 must be deliberate.
 
 The correctness oracle over this space is differential, not curated:
-for any generated scenario, batch-vs-scalar execution must agree
-bitwise, worker fan-out and shard partitioning must not change a byte,
+for any generated scenario, every trial chunk size must give the same
+bits, worker fan-out and shard partitioning must not change a byte,
 and the streaming guard must match the offline guard exactly
 (``tests/sim/test_fuzz.py`` and the CI ``fuzz-smoke`` job).
 """
@@ -343,7 +343,7 @@ def generated_scenario(name: str) -> ScenarioSpec:
 
     The echo goes to stderr (tables own stdout) the first time this
     process materialises the seed — rendered tables stay byte-
-    identical across ``--jobs``/``--shards``/batch modes while every
+    identical across ``--jobs``/``--shards`` values while every
     log still carries the full generated environment.
     """
     seed = parse_fuzz_seed(name)

@@ -1,52 +1,37 @@
-"""The declarative trial pipeline: one stage list, two execution modes.
+"""The declarative trial pipeline: one stage list, one executor.
 
-Before this module existed the simulator carried two hand-synchronized
-implementations of the per-trial attack chain — the scalar loop in
-:class:`repro.sim.runner.ScenarioRunner` and the vectorized kernel in
-:mod:`repro.sim.batch` — whose bitwise agreement rested on a draw-order
-contract stated in comments and pinned only by differential tests.
-Here the chain is *data*: a :class:`TrialPipeline` is an ordered list
-of named :class:`Stage` objects
+The per-trial attack chain is *data*: a :class:`TrialPipeline` is an
+ordered list of named :class:`Stage` objects
 
     transmit -> motion-gain -> [interference] -> ambient ->
     microphone -> adc -> recognize
 
-where each stage declares a scalar kernel (one trial, one
-:class:`~repro.dsp.signals.Signal`, one generator) and an optional
-batch kernel (a whole trial chunk as ``(n_trials, n_samples)`` stacks,
-one generator per row). A single executor walks the same list in
-either mode, so batch-vs-scalar bitwise identity holds *by
-construction*: there is no second statement of the stage order left to
-drift.
+where each stage carries one kernel over a trial chunk: the stacked
+``(n_trials, n_samples)`` value plus one generator per row. A single
+trial is a chunk of one, so there is no second, per-trial statement
+of the chain to keep in sync; :meth:`TrialPipeline.run_trials` is the
+only executor, and :class:`~repro.sim.runner.ScenarioRunner` calls it
+with one generator at a time.
 
-Per-stage random draws are the equivalence discipline: a stage's batch
-kernel must consume exactly the draws its scalar kernel would, from
-the same per-trial generators, in row order. The built-in stages obey
-this (motion gains are drawn one-per-generator before the stacked
-multiply; ambient and self-noise draw row by row), and the
-property-based suite checks the executor preserves it for arbitrary
-stage lists.
-
-Whether a whole pipeline may take the batched path is a *fold* over
-its stages' :class:`BatchSupport`: the first stage that lacks a batch
-kernel, or whose construction-time check refused (a subclassed
-microphone whose overridden ``record`` the stacked chain would
-bypass), decides — with a structured reason instead of a silent
-``False``.
+Per-trial random draws are the determinism discipline: a kernel draws
+from ``rngs[i]`` for row ``i`` only, in row order, so every trial
+consumes the same draws (motion gain, then ambient noise, then
+microphone self-noise) whatever chunk it lands in. The executor's
+outputs are therefore invariant under the chunk size — the property
+the differential suites check against the goldens and the
+``float64_baseline.json`` digests.
 
 :func:`build_pipeline` assembles the canonical attack pipeline for a
 (scenario, device) pair. The defense's dataset synthesis composes its
 own variant — the same stages minus recognition, plus a per-trial
-talker-level gain — through the same builders, which is what lets
-labelled-recording synthesis run on the batched path in every
-registered environment.
+talker-level gain — through the same builders.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -56,7 +41,6 @@ from repro.acoustics.spl import spl_to_pressure
 from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import ExperimentError
 from repro.hardware.microphone import Microphone
-from repro.hardware.nonlinearity import PolynomialNonlinearity
 from repro.obs.trace import current_tracer
 from repro.sim.cache import EmissionCache, stable_key
 from repro.sim.scenario import Scenario, VictimDevice
@@ -79,30 +63,6 @@ CHUNK_TRIALS = 16
 _INVARIANT_CACHE_ENTRIES = 8
 
 
-@dataclass(frozen=True)
-class BatchSupport:
-    """Whether a stage (or pipeline) may take the batched path.
-
-    Truthiness matches ``supported`` so ``if supports_batch(group):``
-    call sites keep working; the ``reason`` carries the structured
-    explanation a silent ``False`` used to swallow.
-    """
-
-    supported: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.supported
-
-    @classmethod
-    def ok(cls) -> "BatchSupport":
-        return cls(supported=True)
-
-    @classmethod
-    def refused(cls, reason: str) -> "BatchSupport":
-        return cls(supported=False, reason=reason)
-
-
 @dataclass
 class StageTiming:
     """Accumulated wall time of one (mode, stage) pair."""
@@ -122,15 +82,12 @@ class StageTiming:
 class StageProfile:
     """Per-stage wall-time attribution for a pipeline run.
 
-    Pass one to :meth:`TrialPipeline.run_trials` (or
-    :meth:`~TrialPipeline.run_scalar`) and every stage call — scalar
-    or batched — adds its wall time under ``(mode, stage_name)``. The
-    hook is deliberately lightweight: when no profile is attached the
-    executor takes no timestamps at all, so profiling never taxes
-    production runs. One profile may accumulate across many
-    ``run_trials`` calls (the benchmark harness feeds a whole workload
-    through one), and :meth:`render` prints the breakdown the
-    performance docs quote.
+    The trial executor reports through trace spans only: run it under
+    a :class:`~repro.obs.trace.Tracer` and :meth:`from_spans` folds
+    the stage spans into ``(mode, stage_name)`` timings. One tracer may
+    collect many ``run_trials`` calls (the benchmark harness feeds a
+    whole workload through one), and :meth:`render` prints the
+    breakdown the performance docs quote.
     """
 
     def __init__(self) -> None:
@@ -310,14 +267,9 @@ def _restore_float64(value: Any) -> Any:
     return _cast_value(value, np.float64)
 
 
-#: Scalar kernel: (context, value-in, per-trial generator) -> value-out.
-ScalarKernel = Callable[
-    [TrialContext, Any, "np.random.Generator | None"], Any
-]
-#: Batch kernel: (context, stacked value-in, per-trial generators) ->
-#: stacked value-out. Must consume exactly the draws the scalar kernel
-#: would, from the same generators, in row order.
-BatchKernel = Callable[
+#: Stage kernel: (context, stacked value-in, per-trial generators) ->
+#: stacked value-out. Row ``i`` may draw only from ``rngs[i]``.
+Kernel = Callable[
     [TrialContext, Any, Sequence[np.random.Generator]], Any
 ]
 
@@ -330,42 +282,22 @@ class Stage:
     ----------
     name:
         Stable identifier (``"transmit"``, ``"ambient"``, ...); shown
-        in refusal reasons and the pipeline diagram.
-    scalar:
-        The reference implementation, one trial at a time.
-    batch:
-        Optional vectorized implementation over a trial chunk;
-        ``None`` means the whole pipeline must take the scalar path.
-    support:
-        Construction-time batch verdict. A builder that *has* a batch
-        kernel but cannot prove it equivalent (subclassed hardware
-        model) attaches the refusal here so the fold can report why.
+        in trace spans and the pipeline diagram.
+    kernel:
+        The stage over a trial chunk: ``(ctx, value, rngs)`` with one
+        generator per trial, in row order. A single trial is a chunk
+        of one.
     """
 
     name: str
-    scalar: ScalarKernel
-    batch: BatchKernel | None = None
-    support: BatchSupport = field(default_factory=BatchSupport.ok)
-
-    def batch_support(self) -> BatchSupport:
-        """This stage's contribution to the pipeline-level fold."""
-        if not self.support:
-            return self.support
-        if self.batch is None:
-            return BatchSupport.refused(
-                f"stage {self.name!r} declares no batch kernel"
-            )
-        return BatchSupport.ok()
+    kernel: Kernel
 
 
 class TrialPipeline:
-    """An ordered stage list plus the mode-agnostic executor.
+    """An ordered stage list plus its executor.
 
-    The same ``stages`` tuple drives both execution modes:
-    :meth:`run_scalar` folds each trial through every stage's scalar
-    kernel; :meth:`run_trials` with ``batch=True`` folds bounded trial
-    chunks through the batch kernels instead — falling back to the
-    scalar walk automatically when :meth:`batch_support` refuses.
+    :meth:`run_trials` folds bounded trial chunks through every
+    stage's kernel; its outputs do not depend on the chunk size.
     """
 
     def __init__(
@@ -412,14 +344,6 @@ class TrialPipeline:
         """The declared order, for diagrams and ordering tests."""
         return tuple(stage.name for stage in self.stages)
 
-    def batch_support(self) -> BatchSupport:
-        """Fold of the per-stage verdicts: first refusal wins."""
-        for stage in self.stages:
-            support = stage.batch_support()
-            if not support:
-                return support
-        return BatchSupport.ok()
-
     # -- trial-invariant precompute -----------------------------------
 
     def context(self, sources: Sequence[PlacedSource]) -> TrialContext:
@@ -438,59 +362,18 @@ class TrialPipeline:
 
     # -- execution ----------------------------------------------------
 
-    def run_scalar(
-        self,
-        ctx: TrialContext,
-        rng: np.random.Generator,
-        profile: StageProfile | None = None,
-    ) -> Any:
-        """One trial through every stage's scalar kernel, in order.
-
-        ``profile`` (when given) receives each stage's wall time under
-        mode ``"scalar"``.
-        """
-        tracer = current_tracer()
-        observe = profile is not None or tracer is not None
-        value: Any = None
-        for stage in self.stages:
-            started = time.perf_counter() if observe else 0.0
-            value = stage.scalar(ctx, value, rng)
-            if self._fast_dtype is not None:
-                value = _cast_value(value, self._fast_dtype)
-            if observe:
-                ended = time.perf_counter()
-                if profile is not None:
-                    profile.add(
-                        "scalar", stage.name, ended - started, 1
-                    )
-                if tracer is not None:
-                    tracer.record(
-                        stage.name,
-                        started,
-                        ended,
-                        mode="scalar",
-                        trials=1,
-                    )
-        if self._fast_dtype is not None:
-            value = _restore_float64(value)
-        return value
-
     def run_trials(
         self,
         ctx: TrialContext,
         rngs: Sequence[np.random.Generator],
-        batch: bool = True,
         chunk_trials: int = CHUNK_TRIALS,
-        profile: StageProfile | None = None,
     ) -> list:
         """Every trial's final value, in generator order.
 
-        With ``batch=True`` (and a fully batch-capable stage list) the
-        generators stream through the batch kernels in bounded chunks;
-        otherwise each runs the scalar walk. Outcomes are bitwise
-        identical either way — the stage contract, checked by the
-        differential suites. ``profile`` (when given) accumulates each
-        stage's wall time under whichever mode actually executed.
+        The generators stream through the stage kernels in chunks of
+        at most ``chunk_trials``; the results are bitwise the same for
+        every chunk size. Under an ambient tracer each stage call
+        records one span with ``mode="batch"`` and ``trials=n``.
         """
         rngs = list(rngs)
         if not rngs:
@@ -501,45 +384,30 @@ class TrialPipeline:
             raise ExperimentError(
                 f"chunk_trials must be >= 1, got {chunk_trials}"
             )
-        if not (batch and self.batch_support()):
-            return [
-                self.run_scalar(ctx, rng, profile=profile)
-                for rng in rngs
-            ]
         out: list = []
         for start in range(0, len(rngs), chunk_trials):
             chunk = rngs[start : start + chunk_trials]
-            out.extend(self._run_batch_chunk(ctx, chunk, profile))
+            out.extend(self._run_chunk(ctx, chunk))
         return out
 
-    def _run_batch_chunk(
-        self,
-        ctx: TrialContext,
-        rngs: list[np.random.Generator],
-        profile: StageProfile | None = None,
+    def _run_chunk(
+        self, ctx: TrialContext, rngs: list[np.random.Generator]
     ) -> list:
         tracer = current_tracer()
-        observe = profile is not None or tracer is not None
         value: Any = None
         for stage in self.stages:
-            started = time.perf_counter() if observe else 0.0
-            value = stage.batch(ctx, value, rngs)
+            started = time.perf_counter() if tracer is not None else 0.0
+            value = stage.kernel(ctx, value, rngs)
             if self._fast_dtype is not None:
                 value = _cast_value(value, self._fast_dtype)
-            if observe:
-                ended = time.perf_counter()
-                if profile is not None:
-                    profile.add(
-                        "batch", stage.name, ended - started, len(rngs)
-                    )
-                if tracer is not None:
-                    tracer.record(
-                        stage.name,
-                        started,
-                        ended,
-                        mode="batch",
-                        trials=len(rngs),
-                    )
+            if tracer is not None:
+                tracer.record(
+                    stage.name,
+                    started,
+                    time.perf_counter(),
+                    mode="batch",
+                    trials=len(rngs),
+                )
         rows = _per_trial_values(value, len(rngs))
         if self._fast_dtype is not None:
             rows = _restore_float64(rows)
@@ -547,21 +415,21 @@ class TrialPipeline:
 
 
 def _per_trial_values(value: Any, n_trials: int) -> list:
-    """Normalise a batch chunk's final value to one entry per trial."""
+    """Normalise a chunk's final value to one entry per trial."""
     if isinstance(value, list):
         rows = value
     elif isinstance(value, SignalBatch):
-        rows = [value.row(index) for index in range(value.n_signals)]
+        rows = value.signals()
     elif isinstance(value, np.ndarray) and value.ndim == 2:
         rows = list(value)
     else:
         raise ExperimentError(
-            "the final batch stage must produce a list, a SignalBatch "
-            f"or a 2-D array, got {type(value).__qualname__}"
+            "the final stage must produce a list, a SignalBatch or a "
+            f"2-D array, got {type(value).__qualname__}"
         )
     if len(rows) != n_trials:
         raise ExperimentError(
-            f"final batch stage produced {len(rows)} rows for "
+            f"final stage produced {len(rows)} rows for "
             f"{n_trials} trials"
         )
     return rows
@@ -571,41 +439,28 @@ def _per_trial_values(value: Any, n_trials: int) -> list:
 # Stage builders
 # ----------------------------------------------------------------------
 
-def transmit_stage(scenario: Scenario) -> Stage:
+def transmit_stage() -> Stage:
     """Inject the precomputed transmission into the trial flow.
 
     The expensive work — propagating the attack emission (direct wave
     plus any room reflections) and the interference bed to the victim
     — is trial-invariant and happens once per group in the pipeline's
     precompute step (:meth:`TrialPipeline.context`); this stage merely
-    hands each trial the shared arrived waveform. Subclassed scenarios
-    refuse the batched path here: their overridden channel/draw
-    semantics are exactly what the stacked kernels would bypass.
+    hands the chunk the shared arrived waveform.
     """
-    support = BatchSupport.ok()
-    if type(scenario) is not Scenario:
-        support = BatchSupport.refused(
-            f"scenario is a {type(scenario).__qualname__}, not the "
-            "stock Scenario; its overridden semantics would be "
-            "bypassed by the batched chain"
-        )
     return Stage(
-        name="transmit",
-        scalar=lambda ctx, value, rng: ctx.clean_attack,
-        batch=lambda ctx, value, rngs: ctx.clean_attack,
-        support=support,
+        name="transmit", kernel=lambda ctx, value, rngs: ctx.clean_attack
     )
 
 
 def _gain_rows(
     value: Signal | SignalBatch, gains: Sequence[float | None]
 ) -> Signal | SignalBatch:
-    """Apply per-trial amplitude gains, matching scalar math bitwise.
+    """Apply per-trial amplitude gains, row by row.
 
     ``None`` gains leave the shared waveform untouched (static
     scenarios never multiply); when any trial scales, the chunk is
-    stacked with row ``i`` equal to the scalar trial's
-    ``Signal.__mul__`` result.
+    stacked with row ``i`` equal to ``value * gains[i]``.
     """
     if all(gain is None for gain in gains):
         return value
@@ -632,20 +487,15 @@ def motion_stage(scenario: Scenario) -> Stage:
     Always present in the canonical stage list; for static scenarios
     :meth:`~repro.sim.scenario.Scenario.trial_gain` returns ``None``
     and — crucially — consumes no random draw, so the stage is free
-    and stream-invisible exactly where the old scalar loop was.
+    and stream-invisible.
     """
 
-    def scalar(ctx, value, rng):
-        gain = scenario.trial_gain(rng)
-        return value if gain is None else value * gain
-
-    def batch(ctx, value, rngs):
-        # One draw per generator, in row order — exactly where each
-        # scalar trial draws it.
+    def kernel(ctx, value, rngs):
+        # One draw per generator, in row order.
         gains = [scenario.trial_gain(rng) for rng in rngs]
         return _gain_rows(value, gains)
 
-    return Stage(name="motion-gain", scalar=scalar, batch=batch)
+    return Stage(name="motion-gain", kernel=kernel)
 
 
 def level_stage(
@@ -661,7 +511,7 @@ def level_stage(
     equivalent to a gain of ``10^((spl - reference)/20)`` on a
     transmission rendered once at ``reference_spl`` — the same
     mechanism as the walking attacker's motion gain, which is what
-    lets labelled-recording synthesis share the batched path.
+    lets labelled-recording synthesis share the trial pipeline.
     ``capture`` (when given) receives each drawn SPL in trial order,
     for per-row metadata.
     """
@@ -677,29 +527,21 @@ def level_stage(
             capture.append(spl)
         return spl_to_pressure(spl) / reference_pressure
 
-    def scalar(ctx, value, rng):
-        return value * draw(rng)
-
-    def batch(ctx, value, rngs):
+    def kernel(ctx, value, rngs):
         return _gain_rows(value, [draw(rng) for rng in rngs])
 
-    return Stage(name="talker-level", scalar=scalar, batch=batch)
+    return Stage(name="talker-level", kernel=kernel)
 
 
 def interference_stage() -> Stage:
     """Sum the precomputed interference bed at the diaphragm.
 
-    Scalar trials use :meth:`Signal.__add__` (zero-pad to the longer
-    waveform, add); the batch kernel performs the identical
-    pad-and-add on the stacked rows, so row ``i`` matches the scalar
-    trial bitwise. A chunk that is still a shared waveform (static
-    scenario) stays shared — the bed is trial-invariant too.
+    Zero-pads to the longer of the two waveforms and adds, row by row.
+    A chunk that is still a shared waveform (static scenario) stays
+    shared — the bed is trial-invariant too.
     """
 
-    def scalar(ctx, value, rng):
-        return value + ctx.clean_interference
-
-    def batch(ctx, value, rngs):
+    def kernel(ctx, value, rngs):
         if isinstance(value, Signal):
             return value + ctx.clean_interference
         bed = ctx.clean_interference
@@ -711,15 +553,14 @@ def interference_stage() -> Stage:
         np.add(padded, bed_padded[np.newaxis, :], out=padded)
         return SignalBatch.adopt(padded, value.sample_rate, value.unit)
 
-    return Stage(name="interference", scalar=scalar, batch=batch)
+    return Stage(name="interference", kernel=kernel)
 
 
 def ambient_stage(channel: AcousticChannel) -> Stage:
     """Add each trial's ambient-noise draw at the receiver."""
     return Stage(
         name="ambient",
-        scalar=lambda ctx, value, rng: channel.add_ambient(value, rng),
-        batch=lambda ctx, value, rngs: channel.ambient_batch(
+        kernel=lambda ctx, value, rngs: channel.ambient_batch(
             value, list(rngs)
         ),
     )
@@ -731,53 +572,33 @@ def record_stages(microphone: Microphone) -> list[Stage]:
     For the stock :class:`~repro.hardware.microphone.Microphone` the
     chain splits into its two halves — ``microphone`` (front-end,
     nonlinearity, anti-alias, self-noise) and ``adc`` (resample, clip,
-    quantise) — each with a scalar and a batch kernel. A subclassed
-    microphone collapses to a single ``record`` stage that calls the
-    (possibly overridden) :meth:`record` and refuses the batched path,
-    so custom hardware models keep their semantics on the scalar walk.
-    A subclassed nonlinearity keeps the split (both modes call its
-    ``apply_array``) but refuses batching conservatively, as the old
-    kernel did.
+    quantise) — each one stacked kernel. A subclassed microphone gets
+    a single ``record`` stage that calls its (possibly overridden)
+    :meth:`~repro.hardware.microphone.Microphone.record` once per row,
+    with that row's generator, so custom hardware models keep their
+    semantics.
     """
     if type(microphone) is not Microphone:
-        return [
-            Stage(
-                name="record",
-                scalar=lambda ctx, value, rng: microphone.record(
-                    value, rng
-                ),
-                support=BatchSupport.refused(
-                    f"microphone is a "
-                    f"{type(microphone).__qualname__}, not the stock "
-                    "Microphone; its overridden record() would be "
-                    "bypassed by the batched chain"
-                ),
+
+        def record(ctx, value, rngs):
+            return SignalBatch.from_signals(
+                [
+                    microphone.record(value.row(index), rng)
+                    for index, rng in enumerate(rngs)
+                ]
             )
-        ]
-    support = BatchSupport.ok()
-    nonlinearity = microphone.config.nonlinearity
-    if type(nonlinearity) is not PolynomialNonlinearity:
-        support = BatchSupport.refused(
-            "nonlinearity is a "
-            f"{type(nonlinearity).__qualname__}, not the stock "
-            "PolynomialNonlinearity; its overridden transfer would be "
-            "bypassed by the batched chain"
-        )
+
+        return [Stage(name="record", kernel=record)]
     return [
         Stage(
             name="microphone",
-            scalar=lambda ctx, value, rng: microphone.record_analog(
-                value, rng
-            ),
-            batch=lambda ctx, value, rngs: microphone.record_analog_batch(
+            kernel=lambda ctx, value, rngs: microphone.record_analog_batch(
                 value, list(rngs)
             ),
-            support=support,
         ),
         Stage(
             name="adc",
-            scalar=lambda ctx, value, rng: microphone.digitize(value),
-            batch=lambda ctx, value, rngs: microphone.digitize_batch(
+            kernel=lambda ctx, value, rngs: microphone.digitize_batch(
                 value
             ),
         ),
@@ -785,7 +606,7 @@ def record_stages(microphone: Microphone) -> list[Stage]:
 
 
 def recognize_stage(scenario: Scenario, device: VictimDevice) -> Stage:
-    """Run the recogniser and fold the verdict into a TrialOutcome."""
+    """Run the recogniser and fold each verdict into a TrialOutcome."""
 
     def fold(result, recording: Signal) -> TrialOutcome:
         return TrialOutcome(
@@ -797,27 +618,19 @@ def recognize_stage(scenario: Scenario, device: VictimDevice) -> Stage:
             recording=recording,
         )
 
-    def outcome(recording: Signal) -> TrialOutcome:
-        return fold(device.recognizer.recognize(recording), recording)
-
-    def batch(ctx, recordings: SignalBatch, rngs):
+    def kernel(ctx, recordings: SignalBatch, rngs):
         rows = recordings.signals()
-        if type(device.recognizer) is KeywordRecognizer:
+        recognizer = device.recognizer
+        if type(recognizer) is KeywordRecognizer:
             # The whole chunk scores through one stacked anti-diagonal
             # DTW sweep (bitwise identical to per-row recognize); a
-            # subclassed recogniser keeps its overridden recognize()
-            # on the per-row walk below.
-            results = device.recognizer.recognize_batch(rows)
-            return [
-                fold(result, row) for result, row in zip(results, rows)
-            ]
-        return [outcome(row) for row in rows]
+            # subclassed recogniser keeps its overridden recognize().
+            results = recognizer.recognize_batch(rows)
+        else:
+            results = [recognizer.recognize(row) for row in rows]
+        return [fold(result, row) for result, row in zip(results, rows)]
 
-    return Stage(
-        name="recognize",
-        scalar=lambda ctx, value, rng: outcome(value),
-        batch=batch,
-    )
+    return Stage(name="recognize", kernel=kernel)
 
 
 # ----------------------------------------------------------------------
@@ -835,7 +648,7 @@ def build_pipeline(
     """Assemble the trial pipeline for a (scenario, device) pair.
 
     This is the *single* statement of the per-trial stage order; the
-    scalar runner, the batched kernel and the engine worker all
+    scenario runner, the engine worker and the dataset builder all
     execute the list it returns.
 
     Parameters
@@ -855,7 +668,7 @@ def build_pipeline(
         Optional extra per-trial gain inserted after ``transmit`` —
         the defense dataset's talker-level draw
         (:func:`level_stage`). Its draw happens *before* the motion
-        gain's, a fixed order both execution modes share.
+        gain's.
     invariants:
         Optional shared :class:`~repro.sim.cache.EmissionCache` for
         the trial-invariant precompute. Passing one cache to several
@@ -892,7 +705,7 @@ def build_pipeline(
                 f"{device.recognizer.commands}"
             )
     channel = scenario.channel()
-    stages: list[Stage] = [transmit_stage(scenario)]
+    stages: list[Stage] = [transmit_stage()]
     if gain_stage is not None:
         stages.append(gain_stage)
     stages.append(motion_stage(scenario))

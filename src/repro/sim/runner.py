@@ -1,4 +1,4 @@
-"""Scenario execution: the scalar driver over the trial pipeline.
+"""Scenario execution: a trial-by-trial convenience over the pipeline.
 
 The runner separates *emission* (expensive, deterministic per command
 and attacker) from *trials* (cheap, stochastic): the attacker's
@@ -6,14 +6,12 @@ radiated waveforms are computed once and reused while ambient noise and
 microphone self-noise are redrawn per trial — matching how the paper
 repeats a fixed attack signal 50 times.
 
-Since :mod:`repro.sim.pipeline` the runner no longer states the trial
-chain itself: it builds the declarative :class:`TrialPipeline` for its
-(scenario, device) pair and walks each trial through the pipeline's
-scalar executor. The per-trial draw order — motion gain, ambient
-noise, microphone self-noise — therefore lives in exactly one place,
-and the vectorized batch kernel (:mod:`repro.sim.batch`) reproduces it
-bitwise because it executes the *same* stage list, not a synchronized
-copy.
+The runner does not state the trial chain itself: it builds the
+declarative :class:`TrialPipeline` for its (scenario, device) pair and
+runs each trial as a chunk of one through the pipeline's executor.
+The per-trial draw order — motion gain, ambient noise, microphone
+self-noise — therefore lives in exactly one place, and a caller's
+single generator is consumed trial after trial, in that order.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ class ScenarioRunner:
         sources: list[PlacedSource],
         rng: np.random.Generator,
     ) -> TrialOutcome:
-        """One trial: the scalar walk of the shared stage list.
+        """One trial: a chunk of one through the shared stage list.
 
         The trial-invariant transmissions (attack wave and, if the
         scene has competing audio, the interference bed) come from the
@@ -67,7 +65,7 @@ class ScenarioRunner:
         than re-propagated every trial.
         """
         ctx = self.pipeline.context(sources)
-        return self.pipeline.run_scalar(ctx, rng)
+        return self.pipeline.run_trials(ctx, [rng])[0]
 
     def run_trials(
         self,
@@ -87,5 +85,6 @@ class ScenarioRunner:
             )
         ctx = self.pipeline.context(sources)
         return [
-            self.pipeline.run_scalar(ctx, rng) for _ in range(n_trials)
+            self.pipeline.run_trials(ctx, [rng])[0]
+            for _ in range(n_trials)
         ]

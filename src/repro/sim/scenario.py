@@ -1,8 +1,9 @@
 """Scenario descriptions: who attacks what, where — and around whom.
 
-A :class:`Scenario` is pure data; the runner and the batch kernel
-execute it. Beyond the original free-field geometry a scenario can
-now carry the environmental features real deployments face:
+A :class:`Scenario` is pure data; the trial pipeline
+(:mod:`repro.sim.pipeline`) executes it. Beyond the original
+free-field geometry a scenario can now carry the environmental
+features real deployments face:
 
 * a :class:`~repro.acoustics.geometry.Room` (first-order reflections
   intermodulate at the microphone exactly like direct waves);
@@ -11,7 +12,7 @@ now carry the environmental features real deployments face:
   with the attack waves;
 * an :class:`AttackerMotion` model — per-trial geometry perturbation
   of a walking attacker, expressed as a far-field amplitude factor so
-  both the scalar and the batched pipelines apply bit-identical math;
+  a whole trial chunk scales in one stacked multiply;
 * optional :class:`~repro.acoustics.atmosphere.AtmosphericConditions`
   (weather) feeding the ISO 9613-1 absorption model.
 
@@ -156,8 +157,8 @@ def interference_waveform(
 ) -> Signal:
     """Render one interference source's pressure waveform at 1 m.
 
-    Deterministic in ``(source, sample_rate)`` and cached, so scalar
-    trials, batched trial groups and repeated sweeps all share one
+    Deterministic in ``(source, sample_rate)`` and cached, so trial
+    groups, dataset cells and repeated sweeps all share one
     rendered array per process. The result is a read-only
     :class:`Signal` in pascals, RMS-scaled to ``source.level_spl``.
     """
@@ -225,9 +226,8 @@ class AttackerMotion:
     scaled by ``d0 / d_i``. Phase/delay changes over sub-metre
     displacements are second-order for envelope-demodulated commands
     and are deliberately not modelled; keeping the perturbation a pure
-    gain is what lets the batched kernel render a whole trial stack as
-    one broadcast multiply while staying bitwise identical to the
-    scalar path.
+    gain is what lets the trial pipeline render a whole trial chunk
+    as one stacked multiply.
 
     Attributes
     ----------
@@ -372,9 +372,9 @@ class Scenario:
     def channel(self) -> AcousticChannel:
         """The acoustic channel this scenario plays out on.
 
-        Shared by the scalar runner and the batched trial kernel so
-        both pipelines propagate over the *same* model (same room,
-        same weather conditions, same noise floor).
+        The trial pipeline's precompute and ambient stage both use
+        it, so every trial propagates over the *same* model (same
+        room, same weather conditions, same noise floor).
         """
         propagation = (
             PropagationModel(conditions=self.conditions)

@@ -13,8 +13,7 @@ The registry maps short names (``free_field``, ``living_room``, ...)
 to specs; ``python -m repro.experiments <EXP> --scenario NAME`` and
 the scenario-differential test suite both resolve through it. Specs
 build concrete :class:`~repro.sim.scenario.Scenario` objects, which
-both execution pipelines (scalar runner and vectorized batch kernel)
-consume bitwise-identically.
+the trial pipeline (:mod:`repro.sim.pipeline`) consumes.
 
 All registered specs keep the attack rig at the suite-wide
 :data:`RIG_POSITION` — emission builders place array elements around

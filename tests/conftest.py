@@ -31,11 +31,11 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session")
 def experiment_tables():
-    """Every experiment's quick-mode table (seed 0, batched engine).
+    """Every experiment's quick-mode table (seed 0).
 
-    Session-scoped and shared by the structural experiment tests, the
-    golden-trace comparisons and the batch-equivalence suite, so the
-    full 15-experiment sweep runs exactly once per pytest session.
+    Session-scoped and shared by the structural experiment tests and
+    the golden-trace comparisons, so the full 16-experiment sweep runs
+    exactly once per pytest session.
     """
     from repro.experiments import ALL_EXPERIMENTS
 

@@ -66,7 +66,7 @@ def t2_digest(group_block: dict) -> str:
         EmissionSpec(array_split, tuple(group_block["emission"][1])),
         group_block["n_trials"],
     )
-    engine = ExperimentEngine(jobs=1, batch=True, precision="float64")
+    engine = ExperimentEngine(jobs=1, precision="float64")
     outcomes = engine.run_trial_groups(
         [group],
         np.random.default_rng(group_block["engine_seed"]),

@@ -1,22 +1,26 @@
-"""Unit and equivalence tests for the vectorized batch trial kernel.
+"""Unit and equivalence tests for the stacked trial pipeline.
 
-The contract under test is strict: the batched pipeline must be
-*bitwise* identical to the scalar per-trial loop — same successes,
-same DTW distances, same recorded waveforms — for every supported
-group, and must fall back to the scalar path (rather than silently
-diverge) for hardware models it cannot prove equivalent.
+The contract under test is strict: a trial's outcome — success, DTW
+distance, recorded waveform — does not depend on which chunk it runs
+in, whether it runs through the engine or the one-trial
+:class:`~repro.sim.runner.ScenarioRunner`, or whether the hardware
+and scenario models are stock or subclassed.
 """
+
+import copy
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
+from differential import outcomes_identical
 from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import ExperimentError, SignalDomainError
-from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments._emissions import ATTACKER_POSITION, single_full
 from repro.hardware.microphone import Microphone
-from repro.sim.batch import run_group_batch, supports_batch
+from repro.hardware.nonlinearity import PolynomialNonlinearity
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
+from repro.sim.pipeline import build_pipeline
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import Scenario, VictimDevice
 
@@ -38,27 +42,6 @@ def scenario():
 @pytest.fixture(scope="module")
 def emission_spec():
     return EmissionSpec(single_full, ("ok_google", 5))
-
-
-def outcomes_identical(a, b, compare_recordings=True) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (
-            x.success != y.success
-            or x.recognized_command != y.recognized_command
-            or x.accepted != y.accepted
-            or x.distance != y.distance
-        ):
-            return False
-        if compare_recordings:
-            if (x.recording is None) != (y.recording is None):
-                return False
-            if x.recording is not None and not np.array_equal(
-                x.recording.samples, y.recording.samples
-            ):
-                return False
-    return True
 
 
 class TestSignalBatch:
@@ -107,70 +90,120 @@ class TestSignalBatch:
 class TestKernelEquivalence:
     @pytest.fixture(scope="class")
     def pair(self, scenario, phone_device, emission_spec):
-        group = TrialGroup(scenario, phone_device, emission_spec, 3)
+        """Three trials one at a time vs as one stacked chunk."""
         runner = ScenarioRunner(scenario, phone_device)
-        sources = group.resolve_sources()
-        scalar = [
+        sources = list(emission_spec.sources())
+        one_by_one = [
             runner.run_trial(sources, rng)
             for rng in np.random.default_rng(5).spawn(3)
         ]
-        batched = run_group_batch(
-            group, np.random.default_rng(5).spawn(3)
+        pipeline = build_pipeline(scenario, phone_device)
+        chunked = pipeline.run_trials(
+            pipeline.context(sources), np.random.default_rng(5).spawn(3)
         )
-        return scalar, batched
+        return one_by_one, chunked
 
     def test_outcomes_bitwise_identical(self, pair):
-        scalar, batched = pair
-        assert outcomes_identical(scalar, batched)
+        one_by_one, chunked = pair
+        assert outcomes_identical(one_by_one, chunked)
 
     def test_batch_of_one_is_exactly_scalar(
         self, scenario, phone_device, emission_spec
     ):
+        """The engine's one-trial group == the runner's one trial."""
         group = TrialGroup(scenario, phone_device, emission_spec, 1)
         runner = ScenarioRunner(scenario, phone_device)
-        (rng_a,) = np.random.default_rng(11).spawn(1)
-        (rng_b,) = np.random.default_rng(11).spawn(1)
-        scalar = runner.run_trial(group.resolve_sources(), rng_a)
-        (batched,) = run_group_batch(group, [rng_b])
-        assert outcomes_identical([scalar], [batched])
+        # The engine spawns one child per group, then one per trial.
+        (group_rng,) = np.random.default_rng(11).spawn(1)
+        (trial_rng,) = group_rng.spawn(1)
+        single = runner.run_trial(group.resolve_sources(), trial_rng)
+        with ExperimentEngine(jobs=1) as engine:
+            (engined,) = engine.run_trial_groups(
+                [group], np.random.default_rng(11)
+            )[0]
+        assert outcomes_identical([single], [engined])
 
     def test_keep_recordings_false_strips_only_waveforms(
-        self, scenario, phone_device, emission_spec, pair
+        self, scenario, phone_device, emission_spec
     ):
         group = TrialGroup(scenario, phone_device, emission_spec, 3)
-        stripped = run_group_batch(
-            group,
-            np.random.default_rng(5).spawn(3),
-            keep_recordings=False,
-        )
+        with ExperimentEngine(jobs=1) as engine:
+            kept = engine.run_trial_groups(
+                [group], np.random.default_rng(5)
+            )[0]
+            stripped = engine.run_trial_groups(
+                [group], np.random.default_rng(5), keep_recordings=False
+            )[0]
         assert all(o.recording is None for o in stripped)
-        assert outcomes_identical(
-            pair[1], stripped, compare_recordings=False
-        )
+        assert outcomes_identical(kept, stripped, compare_recordings=False)
 
     def test_empty_generator_list_rejected(
         self, scenario, phone_device, emission_spec
     ):
-        group = TrialGroup(scenario, phone_device, emission_spec, 1)
-        with pytest.raises(ExperimentError):
-            run_group_batch(group, [])
+        pipeline = build_pipeline(scenario, phone_device)
+        ctx = pipeline.context(list(emission_spec.sources()))
+        with pytest.raises(ExperimentError, match=">= 1"):
+            pipeline.run_trials(ctx, [])
 
 
 class _TracingMicrophone(Microphone):
-    """A microphone subclass the kernel must refuse to vectorize."""
+    """A microphone subclass whose ``record`` logs every call."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.calls = []
+
+    def record(self, pressure, rng=None):
+        self.calls.append((pressure, rng, copy.deepcopy(rng)))
+        return super().record(pressure, rng)
 
 
-class TestFallback:
-    def test_standard_group_supported(
+class _TaggedNonlinearity(PolynomialNonlinearity):
+    pass
+
+
+class _TaggedScenario(Scenario):
+    pass
+
+
+def _run(scenario, device, sources, seed=9, n_trials=3):
+    pipeline = build_pipeline(scenario, device)
+    rngs = np.random.default_rng(seed).spawn(n_trials)
+    return pipeline, rngs, pipeline.run_trials(
+        pipeline.context(sources), rngs
+    )
+
+
+class TestSubclassedModels:
+    """Overrides run on the stacked chain, with per-trial semantics."""
+
+    def test_tracing_microphone_runs_once_per_trial(
         self, scenario, phone_device, emission_spec
     ):
-        group = TrialGroup(scenario, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.supported is True
-        assert support.reason is None
+        microphone = _TracingMicrophone(phone_device.microphone.config)
+        device = VictimDevice(
+            name="custom",
+            microphone=microphone,
+            recognizer=phone_device.recognizer,
+        )
+        sources = list(emission_spec.sources())
+        pipeline, rngs, traced = _run(scenario, device, sources)
+        assert "record" in pipeline.stage_names()
+        assert len(microphone.calls) == len(rngs)
+        stock = Microphone(phone_device.microphone.config)
+        for (pressure, rng, fresh), trial_rng, outcome in zip(
+            microphone.calls, rngs, traced
+        ):
+            # That trial's own generator, and per-row record() output.
+            assert rng is trial_rng
+            expected = stock.record(pressure, fresh)
+            assert np.array_equal(
+                outcome.recording.samples, expected.samples
+            )
+        _, _, reference = _run(scenario, phone_device, sources)
+        assert outcomes_identical(traced, reference)
 
-    def test_subclassed_microphone_unsupported(
+    def test_engine_runs_subclassed_microphone_per_row(
         self, scenario, phone_device, emission_spec
     ):
         device = VictimDevice(
@@ -180,138 +213,50 @@ class TestFallback:
             ),
             recognizer=phone_device.recognizer,
         )
-        group = TrialGroup(scenario, device, emission_spec, 2)
-        support = supports_batch(group)
-        assert not support
-        assert "_TracingMicrophone" in support.reason
-        assert "stock Microphone" in support.reason
 
-    def test_subclassed_nonlinearity_reported_with_reason(
+        def run(victim):
+            group = TrialGroup(scenario, victim, emission_spec, 2)
+            with ExperimentEngine(jobs=1) as engine:
+                return engine.run_trial_groups(
+                    [group], np.random.default_rng(9)
+                )[0]
+
+        assert outcomes_identical(run(device), run(phone_device))
+
+    def test_subclassed_nonlinearity_runs_batched(
         self, scenario, phone_device, emission_spec
     ):
-        from dataclasses import replace as dc_replace
-
-        from repro.hardware.nonlinearity import PolynomialNonlinearity
-
-        class _TaggedNonlinearity(PolynomialNonlinearity):
-            pass
-
+        stock = phone_device.microphone.config.nonlinearity
         config = dc_replace(
             phone_device.microphone.config,
-            nonlinearity=_TaggedNonlinearity((1.0, 0.05, 0.005)),
+            nonlinearity=_TaggedNonlinearity(stock.coefficients),
         )
         device = VictimDevice(
             name="custom",
             microphone=Microphone(config),
             recognizer=phone_device.recognizer,
         )
-        group = TrialGroup(scenario, device, emission_spec, 2)
-        support = supports_batch(group)
-        assert not support
-        assert "_TaggedNonlinearity" in support.reason
+        sources = list(emission_spec.sources())
+        pipeline, _, tagged = _run(scenario, device, sources)
+        assert "microphone" in pipeline.stage_names()
+        _, _, reference = _run(scenario, phone_device, sources)
+        assert outcomes_identical(tagged, reference)
 
-    def test_subclassed_scenario_reported_with_reason(
+    def test_subclassed_scenario_runs_batched(
         self, scenario, phone_device, emission_spec
-    ):
-        class _TaggedScenario(Scenario):
-            pass
-
-        tagged = _TaggedScenario(
-            command=scenario.command,
-            attacker_position=scenario.attacker_position,
-            victim_position=scenario.victim_position,
-        )
-        group = TrialGroup(tagged, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert not support
-        assert "_TaggedScenario" in support.reason
-
-    def test_room_scenario_accepted(
-        self, phone_device, emission_spec
     ):
         from repro.sim.spec import get_scenario
 
-        room_scenario = get_scenario("living_room").build(
-            "ok_google", 2.0
-        )
-        group = TrialGroup(room_scenario, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.reason is None
-
-    def test_direct_kernel_call_refuses_unsupported_group(
-        self, scenario, phone_device, emission_spec
-    ):
-        device = VictimDevice(
-            name="custom",
-            microphone=_TracingMicrophone(
-                phone_device.microphone.config
-            ),
-            recognizer=phone_device.recognizer,
-        )
-        group = TrialGroup(scenario, device, emission_spec, 1)
-        with pytest.raises(ExperimentError, match="equivalence"):
-            run_group_batch(group, np.random.default_rng(0).spawn(1))
-
-    def test_engine_falls_back_to_identical_scalar_results(
-        self, scenario, phone_device, emission_spec
-    ):
-        device = VictimDevice(
-            name="custom",
-            microphone=_TracingMicrophone(
-                phone_device.microphone.config
-            ),
-            recognizer=phone_device.recognizer,
-        )
-        group = TrialGroup(scenario, device, emission_spec, 2)
-
-        def run(batch):
-            with ExperimentEngine(jobs=1, batch=batch) as engine:
-                return engine.run_trial_groups(
-                    [group], np.random.default_rng(9)
-                )[0]
-
-        assert outcomes_identical(run(True), run(False))
-
-
-class TestEngineBatchFlag:
-    def test_non_boolean_batch_rejected(self):
-        with pytest.raises(ExperimentError):
-            ExperimentEngine(jobs=1, batch="yes")
-
-    def test_batch_defaults_on(self):
-        assert ExperimentEngine(jobs=1).batch is True
-
-    def test_per_call_override(
-        self, scenario, phone_device, emission_spec
-    ):
-        group = TrialGroup(scenario, phone_device, emission_spec, 2)
-        with ExperimentEngine(jobs=1, batch=False) as engine:
-            default_off = engine.run_trial_groups(
-                [group], np.random.default_rng(21)
-            )[0]
-            forced_on = engine.run_trial_groups(
-                [group], np.random.default_rng(21), batch=True
-            )[0]
-        assert outcomes_identical(default_off, forced_on)
-
-
-class TestAllExperimentsEquivalence:
-    """Satellite guarantee: batch on/off is invisible to every table."""
-
-    @pytest.fixture(scope="class")
-    def scalar_tables(self):
-        with ExperimentEngine(jobs=1, batch=False) as engine:
-            return {
-                name: module.run(quick=True, seed=0, engine=engine)
-                for name, module in ALL_EXPERIMENTS.items()
+        # A walking attacker: the motion stage calls the subclass's
+        # trial_gain once per generator.
+        stock = get_scenario("walking_attacker").build("ok_google", 2.0)
+        tagged = _TaggedScenario(
+            **{
+                name: getattr(stock, name)
+                for name in stock.__dataclass_fields__
             }
-
-    @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-    def test_batch_and_scalar_render_identically(
-        self, name, experiment_tables, scalar_tables
-    ):
-        assert (
-            experiment_tables[name].render()
-            == scalar_tables[name].render()
         )
+        sources = list(emission_spec.sources())
+        _, _, from_tagged = _run(tagged, phone_device, sources)
+        _, _, reference = _run(stock, phone_device, sources)
+        assert outcomes_identical(from_tagged, reference)

@@ -7,9 +7,8 @@ with invariants that must hold for *any* environment it composes:
   of the seed: identical field-for-field across repeated calls and
   across a subprocess boundary (the engine's workers and the shard
   subprocesses receive only the ``random:<seed>`` string);
-* **batch vs scalar** — the vectorized trial kernel reproduces the
-  scalar per-trial loop bitwise in every generated environment, and
-  ``supports_batch`` never refuses one;
+* **chunking invariance** — the trial pipeline gives bitwise the same
+  outcomes for every chunk size in every generated environment;
 * **jobs determinism** — fanning a generated scenario over a worker
   pool changes nothing, byte for byte;
 * **guard parity** — the streaming guard's verdict matches the
@@ -39,14 +38,13 @@ import pytest
 from hypothesis import given, settings
 
 import repro
-from differential import outcomes_identical
+from differential import assert_chunking_invariant, outcomes_identical
 from strategies import fuzz_seeds
 from repro.defense.guard import GuardedVoiceAssistant
 from repro.errors import ExperimentError
 from repro.experiments._emissions import single_full
 from repro.experiments.s1_streaming import train_detector
 from repro.sim import fuzz
-from repro.sim.batch import run_group_batch, supports_batch
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
 from repro.sim.fuzz import (
     DEFAULT_GRAMMAR,
@@ -285,25 +283,26 @@ class TestGrammarCoverage:
 
 
 class TestDifferentialOracle:
-    """Batch == scalar and jobs-invariance over the generated space."""
+    """Chunking- and jobs-invariance over the generated space."""
 
     @given(seed=fuzz_seeds)
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
-    def test_batch_bitwise_equals_scalar(
+    def test_chunking_invariance(self, seed, phone_device, emission_spec):
+        spec = generate_scenario(seed)
+        scenario = spec.build("ok_google", spec.distance_m)
+        assert_chunking_invariant(
+            scenario, phone_device, list(emission_spec.sources())
+        )
+
+    @pytest.mark.parametrize("seed", [7, 11, 41])
+    def test_chunking_invariance_pinned(
         self, seed, phone_device, emission_spec
     ):
         spec = generate_scenario(seed)
         scenario = spec.build("ok_google", spec.distance_m)
-        group = TrialGroup(scenario, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert support and support.reason is None
-        runner = ScenarioRunner(scenario, phone_device)
-        sources = group.resolve_sources()
-        scalar = [
-            runner.run_trial(sources, rng) for rng in trial_rngs(2)
-        ]
-        batched = run_group_batch(group, trial_rngs(2))
-        assert outcomes_identical(scalar, batched)
+        assert_chunking_invariant(
+            scenario, phone_device, list(emission_spec.sources())
+        )
 
     def test_jobs_do_not_change_generated_outcomes(
         self, phone_device, emission_spec
@@ -316,12 +315,15 @@ class TestDifferentialOracle:
         assert spec.trajectory is not None and spec.trajectory.legs
         scenario = spec.build("ok_google", spec.distance_m)
         group = TrialGroup(scenario, phone_device, emission_spec, 3)
-        batched = run_group_batch(group, trial_rngs(3))
+        pipeline = ScenarioRunner(scenario, phone_device).pipeline
+        chunked = pipeline.run_trials(
+            pipeline.context(group.resolve_sources()), trial_rngs(3)
+        )
         with ExperimentEngine(jobs=2) as engine:
             fanned = engine.run_trial_groups(
                 [group], np.random.default_rng(5)
             )[0]
-        assert outcomes_identical(batched, fanned)
+        assert outcomes_identical(chunked, fanned)
 
 
 class TestStreamingOracle:

@@ -7,14 +7,12 @@ Three groups of guarantees:
   microphone -> adc -> recognize), conditionally shaped by the
   scenario's data and the caller's options, and there is no second
   statement of that order anywhere;
-* **BatchSupport folding** — whether a pipeline may take the batched
-  path is the fold of its stages' verdicts: the first stage lacking a
-  batch kernel, or refusing at construction time, decides and its
-  reason survives to the caller;
-* **executor equivalence** — for *arbitrary* stage lists (hypothesis:
+* **invariant precompute** — the trial-invariant transmissions are
+  computed once per context and cached, bounded;
+* **chunking invariance** — for *arbitrary* stage lists (hypothesis:
   random compositions of deterministic and draw-consuming stages) the
-  batched executor reproduces the scalar walk bitwise, at every trial
-  count and chunk size, because both fold the same stages.
+  executor gives bitwise the same rows at every trial count and chunk
+  size.
 """
 
 import numpy as np
@@ -28,7 +26,7 @@ from repro.hardware.microphone import Microphone
 from repro.sim.cache import EmissionCache
 from repro.sim.engine import EmissionSpec
 from repro.sim.pipeline import (
-    BatchSupport,
+    CHUNK_TRIALS,
     Stage,
     TrialContext,
     TrialPipeline,
@@ -102,50 +100,6 @@ class TestStageOrdering:
         with pytest.raises(ExperimentError, match="cannot recognise"):
             build_pipeline(scenario, phone_device.microphone)
 
-    def test_duplicate_stage_names_rejected(self):
-        stage = Stage(name="x", scalar=lambda ctx, v, rng: v)
-        with pytest.raises(ExperimentError, match="unique"):
-            TrialPipeline([stage, stage])
-
-    def test_empty_stage_list_rejected(self):
-        with pytest.raises(ExperimentError, match="at least one"):
-            TrialPipeline([])
-
-
-class TestBatchSupportFold:
-    def test_stock_pipeline_fully_batchable(self, phone_device):
-        scenario = get_scenario("living_room").build("ok_google", 2.0)
-        support = build_pipeline(scenario, phone_device).batch_support()
-        assert support
-        assert support.reason is None
-
-    def test_stage_without_batch_kernel_refuses_with_name(self):
-        stages = [
-            Stage(
-                name="ok",
-                scalar=lambda ctx, v, rng: 1.0,
-                batch=lambda ctx, v, rngs: [1.0] * len(rngs),
-            ),
-            Stage(name="scalar-only", scalar=lambda ctx, v, rng: v),
-        ]
-        support = TrialPipeline(stages).batch_support()
-        assert not support
-        assert "scalar-only" in support.reason
-        assert "no batch kernel" in support.reason
-
-    def test_first_refusal_wins(self):
-        stages = [
-            Stage(
-                name="refused-early",
-                scalar=lambda ctx, v, rng: v,
-                batch=lambda ctx, v, rngs: v,
-                support=BatchSupport.refused("early reason"),
-            ),
-            Stage(name="refused-late", scalar=lambda ctx, v, rng: v),
-        ]
-        support = TrialPipeline(stages).batch_support()
-        assert support.reason == "early reason"
-
     def test_subclassed_microphone_collapses_to_record_stage(
         self, phone_device
     ):
@@ -158,54 +112,19 @@ class TestBatchSupportFold:
             microphone=_CustomMicrophone(phone_device.microphone.config),
             recognizer=phone_device.recognizer,
         )
-        pipeline = build_pipeline(scenario, device)
-        assert "record" in pipeline.stage_names()
-        assert "adc" not in pipeline.stage_names()
-        support = pipeline.batch_support()
-        assert not support
-        assert "_CustomMicrophone" in support.reason
+        names = build_pipeline(scenario, device).stage_names()
+        assert "record" in names
+        assert "microphone" not in names
+        assert "adc" not in names
 
-    def test_supports_batch_is_a_verdict_even_when_unenrolled(
-        self, phone_device, emission_sources
-    ):
-        """Batchability and runnability are separate questions."""
-        from repro.sim.engine import TrialGroup
-        from repro.sim.batch import run_group_batch, supports_batch
+    def test_duplicate_stage_names_rejected(self):
+        stage = Stage(name="x", kernel=lambda ctx, v, rngs: v)
+        with pytest.raises(ExperimentError, match="unique"):
+            TrialPipeline([stage, stage])
 
-        # phone_device only enrolled "ok_google"; the group can never
-        # run, but supports_batch must still answer, as it always has.
-        scenario = get_scenario("free_field").build("alexa", 2.0)
-        group = TrialGroup(scenario, phone_device, emission_sources, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.reason is None
-        # Running it is what fails, with the enrollment message.
-        with pytest.raises(ExperimentError, match="no template"):
-            run_group_batch(group, np.random.default_rng(0).spawn(2))
-
-    def test_fallback_inside_run_trials_matches_scalar(
-        self, phone_device, emission_sources
-    ):
-        """batch=True on a scalar-only pipeline silently walks scalar."""
-        scenario = get_scenario("free_field").build("ok_google", 2.0)
-        reference = build_pipeline(scenario, phone_device)
-        # Same stage list, minus every batch kernel.
-        crippled = TrialPipeline(
-            [
-                Stage(name=stage.name, scalar=stage.scalar)
-                for stage in reference.stages
-            ],
-        )
-        ctx = reference.context(emission_sources)
-        rngs_a = np.random.default_rng(3).spawn(3)
-        rngs_b = np.random.default_rng(3).spawn(3)
-        batched = crippled.run_trials(ctx, rngs_a, batch=True)
-        scalar = [reference.run_scalar(ctx, rng) for rng in rngs_b]
-        for x, y in zip(batched, scalar):
-            assert x.distance == y.distance
-            assert np.array_equal(
-                x.recording.samples, y.recording.samples
-            )
+    def test_empty_stage_list_rejected(self):
+        with pytest.raises(ExperimentError, match="at least one"):
+            TrialPipeline([])
 
 
 class TestInvariantPrecompute:
@@ -245,14 +164,14 @@ class TestInvariantPrecompute:
 
     def test_synthetic_pipeline_has_no_context(self):
         pipeline = TrialPipeline(
-            [Stage(name="x", scalar=lambda ctx, v, rng: 0.0)]
+            [Stage(name="x", kernel=lambda ctx, v, rngs: 0.0)]
         )
         with pytest.raises(ExperimentError, match="context builder"):
             pipeline.context([object()])
 
 
 # ----------------------------------------------------------------------
-# Executor equivalence on randomized stage lists
+# Chunking invariance on randomized stage lists
 # ----------------------------------------------------------------------
 
 _BASE = np.linspace(-1.0, 1.0, 64)
@@ -261,40 +180,32 @@ _BASE = np.linspace(-1.0, 1.0, 64)
 def _inject() -> Stage:
     return Stage(
         name="inject",
-        scalar=lambda ctx, v, rng: _BASE.copy(),
-        batch=lambda ctx, v, rngs: np.tile(_BASE, (len(rngs), 1)),
+        kernel=lambda ctx, v, rngs: np.tile(_BASE, (len(rngs), 1)),
     )
 
 
 def _scale(index: int, factor: float) -> Stage:
     return Stage(
-        name=f"scale-{index}",
-        scalar=lambda ctx, v, rng: v * factor,
-        batch=lambda ctx, v, rngs: v * factor,
+        name=f"scale-{index}", kernel=lambda ctx, v, rngs: v * factor
     )
 
 
 def _offset(index: int, amount: float) -> Stage:
     return Stage(
-        name=f"offset-{index}",
-        scalar=lambda ctx, v, rng: v + amount,
-        batch=lambda ctx, v, rngs: v + amount,
+        name=f"offset-{index}", kernel=lambda ctx, v, rngs: v + amount
     )
 
 
 def _noise(index: int) -> Stage:
     """A draw-consuming stage: one normal vector per trial generator."""
 
-    def scalar(ctx, v, rng):
-        return v + rng.normal(0.0, 1.0, v.shape[-1])
-
-    def batch(ctx, v, rngs):
+    def kernel(ctx, v, rngs):
         out = np.empty_like(v)
         for row, rng in enumerate(rngs):
             out[row] = v[row] + rng.normal(0.0, 1.0, v.shape[-1])
         return out
 
-    return Stage(name=f"noise-{index}", scalar=scalar, batch=batch)
+    return Stage(name=f"noise-{index}", kernel=kernel)
 
 
 def _build_random_stages(spec: list[tuple[str, float]]) -> list[Stage]:
@@ -329,23 +240,24 @@ class TestExecutorEquivalence:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_batch_executor_bitwise_equals_scalar(
+    def test_executor_is_chunking_invariant(
         self, spec, n_trials, chunk_trials, seed
     ):
-        """Scalar walk == chunked batch walk, for any stage list."""
+        """Any chunk size gives the same rows, for any stage list."""
         pipeline = TrialPipeline(_build_random_stages(spec))
         ctx = TrialContext(clean_attack=None)
-        scalar_rngs = np.random.default_rng(seed).spawn(n_trials)
-        batch_rngs = np.random.default_rng(seed).spawn(n_trials)
-        scalar = [
-            pipeline.run_scalar(ctx, rng) for rng in scalar_rngs
+        runs = [
+            pipeline.run_trials(
+                ctx,
+                np.random.default_rng(seed).spawn(n_trials),
+                chunk_trials=chunk,
+            )
+            for chunk in (1, chunk_trials, CHUNK_TRIALS)
         ]
-        batched = pipeline.run_trials(
-            ctx, batch_rngs, batch=True, chunk_trials=chunk_trials
-        )
-        assert len(batched) == n_trials
-        for row, reference in zip(batched, scalar):
-            assert np.array_equal(row, reference)
+        for rows in runs:
+            assert len(rows) == n_trials
+            for row, reference in zip(rows, runs[0]):
+                assert np.array_equal(row, reference)
 
     def test_run_trials_rejects_empty_generators(self):
         pipeline = TrialPipeline([_inject()])
@@ -366,12 +278,11 @@ class TestExecutorEquivalence:
             [
                 Stage(
                     name="broken",
-                    scalar=lambda ctx, v, rng: 1.0,
-                    batch=lambda ctx, v, rngs: 1.0,  # not per-trial
+                    kernel=lambda ctx, v, rngs: 1.0,  # not per-trial
                 )
             ]
         )
-        with pytest.raises(ExperimentError, match="final batch stage"):
+        with pytest.raises(ExperimentError, match="final stage"):
             pipeline.run_trials(
                 TrialContext(None), np.random.default_rng(0).spawn(2)
             )
@@ -381,8 +292,7 @@ class TestExecutorEquivalence:
             [
                 Stage(
                     name="short",
-                    scalar=lambda ctx, v, rng: 1.0,
-                    batch=lambda ctx, v, rngs: [1.0],  # one row short
+                    kernel=lambda ctx, v, rngs: [1.0],  # one row short
                 )
             ]
         )
@@ -409,12 +319,12 @@ class TestLevelStage:
             AudiblePlaybackAttacker(RIG_POSITION).emit(voice).sources
         )
         scenario = get_scenario("free_field").build("ok_google", 1.0)
-        captured_batch: list[float] = []
-        captured_scalar: list[float] = []
+        captured_chunked: list[float] = []
+        captured_single: list[float] = []
         outcomes = {}
-        for label, capture, batch in (
-            ("batch", captured_batch, True),
-            ("scalar", captured_scalar, False),
+        for label, capture, chunk in (
+            ("chunked", captured_chunked, CHUNK_TRIALS),
+            ("single", captured_single, 1),
         ):
             pipeline = build_pipeline(
                 scenario,
@@ -427,10 +337,10 @@ class TestLevelStage:
             outcomes[label] = pipeline.run_trials(
                 pipeline.context(sources),
                 np.random.default_rng(7).spawn(4),
-                batch=batch,
+                chunk_trials=chunk,
             )
-        assert captured_batch == captured_scalar
-        assert len(captured_batch) == 4
-        assert all(55.0 <= spl <= 68.0 for spl in captured_batch)
-        for x, y in zip(outcomes["batch"], outcomes["scalar"]):
+        assert captured_chunked == captured_single
+        assert len(captured_chunked) == 4
+        assert all(55.0 <= spl <= 68.0 for spl in captured_chunked)
+        for x, y in zip(outcomes["chunked"], outcomes["single"]):
             assert np.array_equal(x.samples, y.samples)

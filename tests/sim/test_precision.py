@@ -8,11 +8,13 @@ Three contracts from the batch-kernel performance work:
   downstream consumers never see a narrow dtype;
 * **the fast path tracks the golden path** — float32 trial outcomes
   and dataset features stay within a small relative tolerance of the
-  float64 reference (bitwise equality is explicitly *not* promised);
-* **profiling is observable and optional** — a
-  :class:`~repro.sim.pipeline.StageProfile` attached to a run
-  attributes wall time to every named stage in whichever mode
-  executed, and runs without one take no timestamps at all.
+  float64 reference (bitwise equality is explicitly *not* promised;
+  chunking invariance in float32 is checked with the scenarios in
+  ``tests/sim/test_scenarios.py``);
+* **profiling comes from spans** — a run under a
+  :class:`~repro.obs.trace.Tracer` records one span per stage call,
+  and :meth:`~repro.sim.pipeline.StageProfile.from_spans` attributes
+  wall time to every named stage.
 """
 
 import numpy as np
@@ -20,8 +22,10 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments._emissions import ATTACKER_POSITION, single_full
+from repro.obs.trace import Tracer, activate
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
 from repro.sim.pipeline import (
+    CHUNK_TRIALS,
     StageProfile,
     build_pipeline,
     resolve_precision,
@@ -84,7 +88,7 @@ class TestResolvePrecision:
         # Workers must compute the way the engine was configured, not
         # the way their environment happens to look at task time.
         monkeypatch.setenv("REPRO_FAST_MATH", "1")
-        engine = ExperimentEngine(jobs=1, batch=True)
+        engine = ExperimentEngine(jobs=1)
         assert engine.precision == "float32"
         monkeypatch.delenv("REPRO_FAST_MATH")
         assert engine.precision == "float32"
@@ -100,9 +104,7 @@ class TestFloat32FastPath:
             )
             ctx = pipeline.context(group.resolve_sources())
             rngs = np.random.default_rng(7).spawn(group.n_trials)
-            results[precision] = pipeline.run_trials(
-                ctx, rngs, batch=True
-            )
+            results[precision] = pipeline.run_trials(ctx, rngs)
         return results
 
     def test_outputs_restored_to_float64(self, outcomes):
@@ -132,26 +134,6 @@ class TestFloat32FastPath:
             )
             assert error <= 2.0 * lsb
 
-    def test_scalar_and_batch_fast_paths_agree(
-        self, scenario, phone_device, group
-    ):
-        results = {}
-        for batch in (False, True):
-            pipeline = build_pipeline(
-                scenario, phone_device, precision="float32"
-            )
-            ctx = pipeline.context(group.resolve_sources())
-            rngs = np.random.default_rng(7).spawn(group.n_trials)
-            results[batch] = pipeline.run_trials(
-                ctx, rngs, batch=batch
-            )
-        for scalar, batched in zip(results[False], results[True]):
-            assert scalar.success == batched.success
-            assert scalar.distance == batched.distance
-            assert np.array_equal(
-                scalar.recording.samples, batched.recording.samples
-            )
-
     def test_trace_features_track_float64(self):
         # The satellite property: dataset features computed on the
         # fast path stay within a bounded relative error of the
@@ -173,32 +155,34 @@ class TestFloat32FastPath:
         assert np.max(np.abs(fast - golden) / scale) < 1e-2
 
 
+def _traced_profile(pipeline, ctx, runs, n_trials, chunk_trials=CHUNK_TRIALS):
+    tracer = Tracer()
+    with activate(tracer):
+        for _ in range(runs):
+            rngs = np.random.default_rng(7).spawn(n_trials)
+            pipeline.run_trials(ctx, rngs, chunk_trials=chunk_trials)
+    return StageProfile.from_spans(tracer.spans)
+
+
 class TestStageProfile:
-    def test_attributes_both_modes(self, scenario, phone_device, group):
+    def test_one_span_per_stage_call(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
-        profile = StageProfile()
-        for batch in (False, True):
-            rngs = np.random.default_rng(7).spawn(group.n_trials)
-            pipeline.run_trials(
-                ctx, rngs, batch=batch, profile=profile
-            )
-        modes = {mode for mode, _ in profile.timings}
-        assert modes == {"scalar", "batch"}
-        for mode in modes:
-            stages = [
-                stage
-                for (timing_mode, stage) in profile.timings
-                if timing_mode == mode
-            ]
-            assert stages == list(pipeline.stage_names())
+        profile = _traced_profile(
+            pipeline, ctx, 1, group.n_trials, chunk_trials=1
+        )
+        assert {mode for mode, _ in profile.timings} == {"batch"}
+        assert [stage for _, stage in profile.timings] == list(
+            pipeline.stage_names()
+        )
+        for timing in profile.timings.values():
+            assert timing.calls == group.n_trials
+            assert timing.trials == group.n_trials
 
     def test_trial_counts_and_rows(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
-        profile = StageProfile()
-        rngs = np.random.default_rng(7).spawn(group.n_trials)
-        pipeline.run_trials(ctx, rngs, batch=True, profile=profile)
+        profile = _traced_profile(pipeline, ctx, 1, group.n_trials)
         rows = profile.as_rows()
         assert all(row["mode"] == "batch" for row in rows)
         assert all(row["trials"] == group.n_trials for row in rows)
@@ -215,12 +199,7 @@ class TestStageProfile:
     ):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
-        profile = StageProfile()
-        for _ in range(2):
-            rngs = np.random.default_rng(7).spawn(group.n_trials)
-            pipeline.run_trials(
-                ctx, rngs, batch=True, profile=profile
-            )
+        profile = _traced_profile(pipeline, ctx, 2, group.n_trials)
         for (_, _), timing in profile.timings.items():
             assert timing.trials == 2 * group.n_trials
 
@@ -230,10 +209,11 @@ class TestRecognizeBatch:
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.resolve_sources())
         rngs = np.random.default_rng(11).spawn(6)
-        scalar = [pipeline.run_scalar(ctx, rng) for rng in rngs]
+        outcomes = pipeline.run_trials(ctx, rngs)
         recognizer = phone_device.recognizer
-        recordings = [outcome.recording for outcome in scalar]
-        batched = recognizer.recognize_batch(recordings)
-        for outcome, result in zip(scalar, batched):
+        for outcome in outcomes:
+            # Per-recording recognize() against the stacked sweep the
+            # recognize stage ran.
+            result = recognizer.recognize(outcome.recording)
             assert result.command == outcome.recognized_command
             assert result.distance == outcome.distance

@@ -1,12 +1,12 @@
 """Scenario registry + scenario-level differential harness.
 
-Two guarantees for *every* registered environment (the scenario
-counterpart of the 15-experiment batch-equivalence suite):
+Two guarantees for *every* registered environment:
 
-* **batch vs scalar** — the vectorized kernel reproduces the scalar
-  per-trial loop bitwise (same successes, same DTW distances, same
-  recorded waveforms) in rooms, under interference, with a walking
-  attacker and in weather, not just in the free field;
+* **chunking invariance** — the trial pipeline gives bitwise the same
+  successes, DTW distances and recorded waveforms whether trials run
+  one at a time or stacked in chunks, in rooms, under interference,
+  with a walking attacker and in weather, not just in the free field
+  (in float64 and in the float32 fast path);
 * **jobs determinism** — fanning the same groups over a worker pool
   changes nothing about the outcomes, byte for byte.
 
@@ -20,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import outcomes_identical
+from differential import assert_chunking_invariant, outcomes_identical
 from strategies import rooms
 from repro.acoustics.geometry import Position
 from repro.errors import ExperimentError
 from repro.experiments._emissions import single_full
-from repro.sim.batch import run_group_batch, supports_batch
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
+from repro.sim.pipeline import build_pipeline
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import (
     AttackerMotion,
@@ -261,55 +261,83 @@ class TestScenarioCarriesEnvironment:
 
 
 class TestScenarioDifferential:
-    """Every registered environment: batch == scalar, jobs-invariant."""
+    """Every registered environment: chunking- and jobs-invariant."""
 
     @pytest.fixture(scope="class")
     def per_scenario(self, phone_device, emission_spec):
-        """Scalar and batched outcomes for a small group per scenario."""
-        def trial_rngs():
+        """A small group per scenario, with its chunked outcomes."""
+        results = {}
+        for name in scenario_names():
+            scenario = get_scenario(name).build("ok_google", 2.0)
+            group = TrialGroup(scenario, phone_device, emission_spec, 3)
+            pipeline = ScenarioRunner(scenario, phone_device).pipeline
             # The exact streams the engine derives for a single group:
             # one child per group, then one grandchild per trial — so
             # the engine comparison below is bitwise, not just seeded
             # alike.
             (group_rng,) = np.random.default_rng(5).spawn(1)
-            return group_rng.spawn(3)
-
-        results = {}
-        for name in scenario_names():
-            scenario = get_scenario(name).build("ok_google", 2.0)
-            group = TrialGroup(scenario, phone_device, emission_spec, 3)
-            runner = ScenarioRunner(scenario, phone_device)
-            sources = group.resolve_sources()
-            scalar = [
-                runner.run_trial(sources, rng) for rng in trial_rngs()
-            ]
-            batched = run_group_batch(group, trial_rngs())
-            results[name] = (group, scalar, batched)
+            outcomes = pipeline.run_trials(
+                pipeline.context(group.resolve_sources()),
+                group_rng.spawn(3),
+            )
+            results[name] = (group, outcomes)
         return results
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
-    def test_no_scalar_fallback(
-        self, name, phone_device, emission_spec
+    def test_no_scalar_fallback(self, name, phone_device):
+        """Every environment runs the stacked microphone chain, not a
+        per-row ``record`` stage."""
+        scenario = get_scenario(name).build("ok_google", 2.0)
+        names = build_pipeline(scenario, phone_device).stage_names()
+        assert names[-3:] == ("microphone", "adc", "recognize")
+        assert "record" not in names
+
+    @pytest.mark.parametrize(
+        "name, precision",
+        [
+            (name, precision)
+            for precision in ("float64", "float32")
+            for name in sorted(EXPECTED_SCENARIOS)
+        ],
+    )
+    def test_chunking_invariance(
+        self, name, precision, phone_device, emission_spec
     ):
         scenario = get_scenario(name).build("ok_google", 2.0)
-        group = TrialGroup(scenario, phone_device, emission_spec, 2)
-        support = supports_batch(group)
-        assert support
-        assert support.reason is None
+        assert_chunking_invariant(
+            scenario,
+            phone_device,
+            list(emission_spec.sources()),
+            precision=precision,
+        )
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
-    def test_batch_bitwise_equals_scalar(self, name, per_scenario):
-        _, scalar, batched = per_scenario[name]
-        assert outcomes_identical(scalar, batched)
+    def test_recording_chunking_invariance(self, name, phone_device):
+        """The defense dataset's genuine-talker recording pipeline."""
+        from repro.attack.baselines import AudiblePlaybackAttacker
+        from repro.sim.pipeline import level_stage
+        from repro.speech.commands import synthesize_command
+
+        voice = synthesize_command("ok_google", np.random.default_rng(0))
+        sources = list(
+            AudiblePlaybackAttacker(RIG_POSITION).emit(voice).sources
+        )
+        assert_chunking_invariant(
+            get_scenario(name).build("ok_google", 2.0),
+            phone_device.microphone,
+            sources,
+            recognize=False,
+            gain_stage=level_stage(55.0, 68.0, 60.0),
+        )
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
     def test_jobs_do_not_change_outcomes(self, name, per_scenario):
-        group, _, batched = per_scenario[name]
+        group, outcomes = per_scenario[name]
         with ExperimentEngine(jobs=2) as engine:
             fanned = engine.run_trial_groups(
                 [group], np.random.default_rng(5)
             )[0]
-        assert outcomes_identical(batched, fanned)
+        assert outcomes_identical(outcomes, fanned)
 
     def test_scenario_sweep_runs_every_environment(
         self, phone_device, emission_spec

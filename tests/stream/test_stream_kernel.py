@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from strategies import chunk_partitions, index_partitions
 
 from repro.errors import StreamError
+from repro.experiments.s1_streaming import train_detector
 from repro.stream import kernel
 from repro.stream.chunker import ChunkedStream, ChunkedStreamBatch
 from repro.stream.fleet import (
@@ -31,6 +32,7 @@ from repro.stream.fleet import (
     fleet_seed_plan,
     synthesize_utterances,
 )
+from repro.stream.shard import ShardedFleetSimulator
 
 #: One small fleet, shared by every kernel comparison in this file.
 CONFIG = FleetConfig(
@@ -173,6 +175,47 @@ class TestKernelDigestParity:
                 stream_detector, config
             ).run()
         assert reports[True].digest() == reports[False].digest()
+
+    @pytest.mark.parametrize(
+        "scenario, n_streams, shards",
+        [
+            ("free_field", 8, 1),
+            ("random:11", 8, 1),
+            ("free_field", 13, 2),
+        ],
+    )
+    def test_s1_fleet_configs_match_per_stream(
+        self, stream_detector, scenario, n_streams, shards
+    ):
+        """S1's quick fleet configs — the free field, a generated
+        environment, and a sharded fleet — give the per-stream loop's
+        results stream by stream."""
+        detector = (
+            stream_detector
+            if scenario == "free_field"
+            else train_detector(scenario, 0, n_trials=2)
+        )
+        reports = {}
+        for vectorized in (True, False):
+            config = FleetConfig(
+                scenario=scenario,
+                n_streams=n_streams,
+                utterances_per_stream=1,
+                attack_fraction=0.5,
+                seed=2,
+                workers=2,
+                shards=shards if vectorized else 1,
+                vectorized=vectorized,
+            )
+            simulator = (
+                ShardedFleetSimulator if config.shards > 1 else FleetSimulator
+            )
+            reports[vectorized] = simulator(detector, config).run()
+        kernel_streams = reports[True].streams
+        loop_streams = reports[False].streams
+        assert len(kernel_streams) == len(loop_streams) == n_streams
+        for a, b in zip(kernel_streams, loop_streams):
+            assert a == b, f"stream {a.index} differs"
 
 
 class TestRecognizeMany:

@@ -210,10 +210,13 @@ class TestCli:
         args = build_parser().parse_args(["T2", "--jobs", "4"])
         assert args.jobs == 4
 
-    def test_parser_no_batch_flag(self):
-        args = build_parser().parse_args(["T2", "--no-batch"])
-        assert args.no_batch is True
-        assert build_parser().parse_args(["T2"]).no_batch is False
+    def test_parser_no_batch_flag(self, capsys):
+        # The trial pipeline has one kernel per stage; the old
+        # scalar-path switch is gone and argparse rejects it.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["T2", "--no-batch"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_jobs_is_a_clean_cli_error(self, capsys):
         assert main(["F1", "--jobs", "0"]) == 2

@@ -5,7 +5,7 @@ of every experiment, frozen at the time the references were last
 blessed. The comparison is *textual byte equality*: any change to a
 success rate, a detector verdict, a measured range or even a column
 header fails loudly here — which is exactly what makes refactors such
-as the vectorized batch kernel safe to land.
+as the stacked trial pipeline safe to land.
 
 Beyond the 16 free-field tables, the scenario dimension is pinned for
 the range/accuracy flagships *and* the defense: ``<EXP>@<scenario>.txt``

@@ -276,10 +276,9 @@ class TestBatchedPropagationProperties:
         """Every golden table depends on this equality holding exactly.
 
         `AcousticChannel.transmit` routes multi-source free-field
-        groups through `propagate_batch` in *both* engine modes, so
-        the `--no-batch` CLI diff cannot catch a drift between the
-        stacked-FFT path and per-source `propagate` + `mix` — this
-        test is the bitwise pin that can.
+        groups through `propagate_batch`, so no end-to-end diff can
+        catch a drift between the stacked-FFT path and per-source
+        `propagate` + `mix` — this test is the bitwise pin that can.
         """
         from repro.dsp.signals import mix
 
