@@ -19,11 +19,13 @@ run-over-run trajectory:
   per wall second, i.e. how many live 1x device streams this machine
   holds.
   Gates: the two digests are bitwise identical, and the kernel
-  sustains >= 250 streams. The kernel run also feeds a
-  :class:`~repro.sim.pipeline.StageProfile`, so the record's
-  top-level ``stages`` rows attribute wall time to ingest /
-  segment / welch / recognize / detect (printed by CI's perf-gates
-  step alongside the trial pipeline's breakdown).
+  sustains >= 250 streams. The timed passes run untraced; one more
+  kernel pass runs under a tracer, and
+  :meth:`~repro.sim.pipeline.StageProfile.from_spans` turns its
+  spans into the record's top-level ``stages`` rows, which attribute
+  wall time to ingest / segment / welch / recognize / detect (one
+  call per kernel group, trials = streams; printed by CI's
+  perf-gates step alongside the trial pipeline's breakdown).
 * **Sharded fleet** — the same duty cycle scaled to every core
   through :class:`~repro.stream.shard.ShardedFleetSimulator`: one
   process shard per core, 120 streams per shard. Gates: the sharded
@@ -64,6 +66,7 @@ from repro.experiments.s1_streaming import (
     chunked_parity_probes,
     train_detector,
 )
+from repro.obs.trace import Tracer, activate
 from repro.sim.bench import write_bench_record
 from repro.sim.pipeline import StageProfile
 from repro.sim.results import ResultTable
@@ -149,7 +152,8 @@ def bench_fleet(
     each other: the headline number can never be quoted from a kernel
     that diverged from the per-stream reference. Each path makes
     ``REPEATS`` passes and the fastest wall clock is recorded
-    (min-of-N); every pass must produce the same digest.
+    (min-of-N); every pass must produce the same digest. The per-stage
+    breakdown comes from one further, traced kernel pass.
     """
     detector = train_detector(scenario, seed, n_trials=2)
     scalar_config = _fleet_config(quick, seed, scenario, vectorized=False)
@@ -163,15 +167,25 @@ def bench_fleet(
             scalar = run
     config = _fleet_config(quick, seed, scenario, vectorized=True)
     report = None
-    profile = StageProfile()
     for _ in range(REPEATS):
         gc.collect()
-        pass_profile = StageProfile()
-        run = FleetSimulator(detector, config).run(profile=pass_profile)
+        run = FleetSimulator(detector, config).run()
         if report is not None and run.digest() != report.digest():
             raise AssertionError("kernel fleet digest drifted between passes")
         if report is None or run.wall_seconds < report.wall_seconds:
-            report, profile = run, pass_profile
+            report = run
+    # The stage table comes from one extra traced pass, so tracing
+    # never touches the timed passes.
+    tracer = Tracer()
+    with activate(tracer):
+        traced = FleetSimulator(detector, config).run()
+    if traced.digest() != report.digest():
+        raise AssertionError("tracing changed the kernel fleet digest")
+    # Utterance synthesis runs the trial pipeline inside that pass;
+    # the record's table keeps the kernel's stages only.
+    profile = StageProfile.from_spans(
+        [span for span in tracer.spans if "mode" not in span.attrs]
+    )
     stats = report.latency_stats()
     sustained = int(report.realtime_factor)
     return {

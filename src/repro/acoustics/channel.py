@@ -98,16 +98,14 @@ class AcousticChannel:
 
         This is the trial-invariant half of :meth:`receive` — for a
         fixed emission and geometry every trial shares this waveform,
-        which is why the batched trial kernel computes it exactly once
-        per trial group. Free-field transmissions of equal-length
-        sources run through
-        :meth:`~repro.acoustics.propagation.PropagationModel.propagate_batch`
-        (one stacked FFT for the whole rig); room transmissions stack
-        each source's direct + six image paths through the same kernel
-        (:meth:`~repro.acoustics.room.ImageSourceRoomModel.transmit_batch`);
-        mixed lengths and subclassed propagation models take the
-        per-source, per-path scalar path. All produce bitwise
-        identical sums.
+        which is why the trial pipeline computes it exactly once per
+        trial group. Each source travels on its own and the arrivals
+        are summed with :func:`~repro.dsp.signals.mix`: in a room
+        through :meth:`~repro.acoustics.room.ImageSourceRoomModel.transmit`
+        (direct path plus six images), in free field through
+        :meth:`~repro.acoustics.propagation.PropagationModel.propagate`.
+        Both end in ``propagate_batch``, the propagation model's one
+        override point.
         """
         if not sources:
             raise SignalDomainError("receive requires at least one source")
@@ -116,58 +114,27 @@ class AcousticChannel:
             raise SignalDomainError(
                 f"all sources must share one sample rate, got {sorted(rates)}"
             )
-        if (
-            self.room is not None
-            and type(self.propagation) is PropagationModel
-        ):
-            model = ImageSourceRoomModel(
-                room=self.room, propagation=self.propagation
-            )
-            return mix(
-                [
-                    model.transmit_batch(
-                        source.pressure_at_1m, source.position, receiver
-                    )
-                    for source in sources
-                ]
-            )
-        lengths = {s.pressure_at_1m.n_samples for s in sources}
-        batchable = (
-            self.room is None
-            and len(sources) > 1
-            and len(lengths) == 1
-            and type(self.propagation) is PropagationModel
+        room = (
+            ImageSourceRoomModel(room=self.room, propagation=self.propagation)
+            if self.room is not None
+            else None
         )
-        if batchable:
-            distances = []
-            for source in sources:
+        arrivals = []
+        for source in sources:
+            if room is not None:
+                arrived = room.transmit(
+                    source.pressure_at_1m, source.position, receiver
+                )
+            else:
                 d = source.position.distance_to(receiver)
                 if d == 0.0:
                     raise GeometryError(
                         "source and receiver are coincident; no "
                         "propagation path exists"
                     )
-                distances.append(d)
-            rate = sources[0].pressure_at_1m.sample_rate
-            stack = np.stack(
-                [s.pressure_at_1m.samples for s in sources]
-            )
-            arrived = self.propagation.propagate_batch(
-                stack, rate, distances
-            )
-            # Sequential row accumulation matches mix()'s fold order.
-            acc = arrived[0].copy()
-            for row in arrived[1:]:
-                acc = np.add(acc, row)
-            return Signal(acc, rate, Unit.PASCAL)
-        contributions = []
-        for source in sources:
-            contributions.append(
-                self._transmit_one(
-                    source.pressure_at_1m, source.position, receiver
-                )
-            )
-        return mix(contributions)
+                arrived = self.propagation.propagate(source.pressure_at_1m, d)
+            arrivals.append(arrived)
+        return mix(arrivals)
 
     def ambient_batch(
         self,
@@ -228,19 +195,3 @@ class AcousticChannel:
             )
             np.add(row, noise, out=rows[index])
         return SignalBatch.adopt(rows, clean.sample_rate, Unit.PASCAL)
-
-    def _transmit_one(
-        self, pressure_at_1m: Signal, source: Position, receiver: Position
-    ) -> Signal:
-        if self.room is not None:
-            model = ImageSourceRoomModel(
-                room=self.room, propagation=self.propagation
-            )
-            return model.transmit(pressure_at_1m, source, receiver)
-        d = source.distance_to(receiver)
-        if d == 0.0:
-            raise GeometryError(
-                "source and receiver are coincident; no propagation "
-                "path exists"
-            )
-        return self.propagation.propagate(pressure_at_1m, d)

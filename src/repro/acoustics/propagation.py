@@ -105,9 +105,6 @@ class PropagationModel:
         ISO 9613-1 is evaluated on a 64-point log grid and
         interpolated onto the bins, since per-bin evaluation of the
         scalar model would dominate runtime for megasample signals.
-        Shared verbatim by :meth:`propagate` and
-        :meth:`propagate_batch` so the two paths are bitwise identical
-        per (waveform, distance) by construction.
 
         Results are memoised per (bin layout, distance): conditions are
         fixed per model instance, and a trial group evaluates the same
@@ -137,29 +134,19 @@ class PropagationModel:
 
         The input must be in pascals (use the speaker model to get
         there); the output is the pressure waveform at the receiver.
+        A one-row :meth:`propagate_batch`.
         """
         if pressure_at_1m.unit != Unit.PASCAL:
             raise SignalDomainError(
                 "propagate expects a pressure waveform in pascals, got "
                 f"unit {pressure_at_1m.unit!r}"
             )
-        if distance_m <= 0:
-            raise SignalDomainError(
-                f"distance must be positive, got {distance_m}"
-            )
-        spreading_gain = 1.0 / distance_m
-        spectrum = sp_fft.rfft(pressure_at_1m.samples)
-        freqs = np.fft.rfftfreq(
-            pressure_at_1m.n_samples, d=1.0 / pressure_at_1m.sample_rate
+        arrived = self.propagate_batch(
+            pressure_at_1m.samples[np.newaxis, :],
+            pressure_at_1m.sample_rate,
+            [distance_m],
         )
-        gains = self._bin_gains(freqs, distance_m)
-        attenuated = sp_fft.irfft(
-            spectrum * gains, n=pressure_at_1m.n_samples
-        )
-        out = pressure_at_1m.replace(samples=attenuated * spreading_gain)
-        if self.include_delay:
-            out = out.delayed(distance_m / self.speed_of_sound)
-        return out
+        return pressure_at_1m.replace(samples=arrived[0])
 
     def propagate_batch(
         self,
@@ -170,16 +157,15 @@ class PropagationModel:
     ) -> np.ndarray:
         """Propagate a stack of equal-length waveforms, one per path.
 
-        The batched counterpart of :meth:`propagate` for free-field
-        multi-source channels: row ``i`` of the returned array is the
-        waveform ``pressures_at_1m[i]`` propagated over
+        The one propagation kernel and the one override point:
+        :meth:`propagate`, the room model's reflection fan and the
+        acoustic channel all land here. Row ``i`` of the returned
+        array is the waveform ``pressures_at_1m[i]`` propagated over
         ``distances_m[i]``, zero-padded to the common post-delay
         length. The spreading/absorption spectrum shaping runs as one
-        two-dimensional FFT over the whole stack; per-row gains and the
-        fractional-sample delay reuse exactly the scalar code paths, so
-        each row is bitwise identical to
-        ``propagate(Signal(row), d)`` — summing the rows reproduces
-        :func:`repro.dsp.signals.mix` of the scalar results.
+        two-dimensional FFT over the whole stack; gains and the
+        fractional-sample delay are computed row by row, so no row
+        depends on the others.
 
         ``shared_input`` declares that every row of the stack is the
         *same* waveform (a room model fanning one source over its
@@ -213,8 +199,7 @@ class PropagationModel:
         else:
             spectra = sp_fft.rfft(stack, axis=-1)
         freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-        # Per-path gain rows via the same coarse-grid interpolation the
-        # scalar path uses (bitwise identical per row).
+        # Per-path gain rows on the coarse absorption grid.
         gain_rows = np.empty_like(spectra, dtype=np.float64)
         for index, distance in enumerate(distances):
             gain_rows[index] = self._bin_gains(freqs, distance)

@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.acoustics.geometry import Position, Room
 from repro.acoustics.propagation import PropagationModel
-from repro.dsp.signals import Signal, mix
-from repro.errors import GeometryError
+from repro.dsp.signals import Signal, Unit
+from repro.errors import GeometryError, SignalDomainError
 
 
 @dataclass(frozen=True)
@@ -100,34 +100,20 @@ class ImageSourceRoomModel:
     def transmit(
         self, pressure_at_1m: Signal, source: Position, receiver: Position
     ) -> Signal:
-        """Propagate a source waveform to the receiver over all paths."""
-        contributions = []
-        for path in self.paths(source, receiver):
-            received = self.propagation.propagate(
-                pressure_at_1m, path.distance_m
-            )
-            contributions.append(received * path.amplitude_factor)
-        return mix(contributions)
-
-    def transmit_batch(
-        self, pressure_at_1m: Signal, source: Position, receiver: Position
-    ) -> Signal:
-        """:meth:`transmit` through the stacked per-path FFT kernel.
+        """Propagate a source waveform to the receiver over all paths.
 
         The direct path and the six first-order images are stacked into
         one :meth:`~repro.acoustics.propagation.PropagationModel.propagate_batch`
         call — a single two-dimensional FFT for the whole reflection
         fan — and the rows are folded in path order with their wall
-        amplitude factors. Because ``propagate_batch`` is bitwise
-        identical per row to ``propagate`` and the fold replicates
-        :func:`~repro.dsp.signals.mix`'s zero-padded left fold, the
-        result is bitwise identical to :meth:`transmit`.
-
-        Only valid for the stock :class:`PropagationModel`: a subclass
-        overriding ``propagate`` would be silently bypassed here, so
-        callers (the acoustic channel) must route subclassed models
-        through the scalar path.
+        amplitude factors, the zero-padded left fold of
+        :func:`~repro.dsp.signals.mix`.
         """
+        if pressure_at_1m.unit != Unit.PASCAL:
+            raise SignalDomainError(
+                "transmit expects a pressure waveform in pascals, got "
+                f"unit {pressure_at_1m.unit!r}"
+            )
         paths = self.paths(source, receiver)
         stack = np.broadcast_to(
             pressure_at_1m.samples,

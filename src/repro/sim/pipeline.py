@@ -44,7 +44,6 @@ from repro.hardware.microphone import Microphone
 from repro.obs.trace import current_tracer
 from repro.sim.cache import EmissionCache, stable_key
 from repro.sim.scenario import Scenario, VictimDevice
-from repro.speech.recognizer import KeywordRecognizer
 
 #: Trials stacked per batched executor pass. Sixteen acoustic-rate
 #: rows keep every intermediate in the low tens of MB — large enough
@@ -80,14 +79,14 @@ class StageTiming:
 
 
 class StageProfile:
-    """Per-stage wall-time attribution for a pipeline run.
+    """Per-stage wall-time attribution, rebuilt from trace spans.
 
-    The trial executor reports through trace spans only: run it under
-    a :class:`~repro.obs.trace.Tracer` and :meth:`from_spans` folds
-    the stage spans into ``(mode, stage_name)`` timings. One tracer may
-    collect many ``run_trials`` calls (the benchmark harness feeds a
-    whole workload through one), and :meth:`render` prints the
-    breakdown the performance docs quote.
+    The trial executor and the streaming kernel report through trace
+    spans only: run them under a :class:`~repro.obs.trace.Tracer` and
+    :meth:`from_spans` folds the stage spans into ``(mode,
+    stage_name)`` timings. One tracer may collect many calls (the
+    benchmark harness feeds a whole workload through one), and
+    :meth:`render` prints the breakdown the performance docs quote.
     """
 
     def __init__(self) -> None:
@@ -128,12 +127,25 @@ class StageProfile:
     def from_spans(cls, spans) -> "StageProfile":
         """Rebuild a profile from trace spans (:mod:`repro.obs`).
 
-        Any span carrying ``mode`` and ``trials`` attributes is a
-        stage-timing record — the executors emit exactly one per
-        stage call — so a trace file alone reproduces the profiling
-        table without a separate profiling run.
+        Two kinds of span are stage-timing records, so a trace file
+        alone reproduces the profiling table without a separate
+        profiling run:
+
+        * a span carrying ``mode`` and ``trials`` attributes — the
+          trial executor emits exactly one per stage call;
+        * a child of a ``stream-group`` span — the streaming kernel's
+          stage windows. Each group's children fold into one
+          ``("stream", stage)`` call per stage, with the group's
+          ``streams`` as its trials. The zero-width ``utterance``
+          decision markers are not stages.
         """
         profile = cls()
+        groups = {
+            span.span_id: span
+            for span in spans
+            if span.name == "stream-group"
+        }
+        group_stages: dict[int, dict[str, float]] = {}
         for span in spans:
             attrs = span.attrs
             if "mode" in attrs and "trials" in attrs:
@@ -143,6 +155,15 @@ class StageProfile:
                     span.duration_s,
                     int(attrs["trials"]),
                 )
+            elif span.parent_id in groups and span.name != "utterance":
+                stages = group_stages.setdefault(span.parent_id, {})
+                stages[span.name] = (
+                    stages.get(span.name, 0.0) + span.duration_s
+                )
+        for group_id, stages in group_stages.items():
+            streams = int(groups[group_id].attrs["streams"])
+            for stage, seconds in stages.items():
+                profile.add("stream", stage, seconds, streams)
         return profile
 
     def render(self) -> str:
@@ -620,14 +641,7 @@ def recognize_stage(scenario: Scenario, device: VictimDevice) -> Stage:
 
     def kernel(ctx, recordings: SignalBatch, rngs):
         rows = recordings.signals()
-        recognizer = device.recognizer
-        if type(recognizer) is KeywordRecognizer:
-            # The whole chunk scores through one stacked anti-diagonal
-            # DTW sweep (bitwise identical to per-row recognize); a
-            # subclassed recogniser keeps its overridden recognize().
-            results = recognizer.recognize_batch(rows)
-        else:
-            results = [recognizer.recognize(row) for row in rows]
+        results = device.recognizer.recognize_many(rows)
         return [fold(result, row) for result, row in zip(results, rows)]
 
     return Stage(name="recognize", kernel=kernel)

@@ -11,6 +11,11 @@ outcome an attack at excessive range produces).
 This recogniser is simple but *real*: its accuracy falls smoothly as
 noise, reverberation and demodulation distortion grow, which is the
 property every accuracy-vs-distance figure in the evaluation relies on.
+
+There is one DTW implementation: an anti-diagonal sweep over a slab of
+(recording, template) pairs. Recognising one recording is a batch of
+one; the trial pipeline and the streaming kernel hand in whole
+batches.
 """
 
 from __future__ import annotations
@@ -82,6 +87,10 @@ class KeywordRecognizer:
     #: first, so features are always comparable. 16 kHz matches real
     #: ASR front-ends, which keep only the sub-8 kHz band.
     CANONICAL_RATE_HZ = 16000.0
+
+    #: Most (recording, template) pairs one DTW slab sweeps at once;
+    #: bounds the padded feature stacks' memory.
+    MAX_PAIRS = 2048
 
     def __init__(
         self,
@@ -156,143 +165,55 @@ class KeywordRecognizer:
     # Recognition
     # ------------------------------------------------------------------
     def recognize(self, recording: Signal) -> RecognitionResult:
-        """Match a recording against every enrolled command."""
-        if not self._templates:
-            raise RecognitionError(
-                "no commands enrolled; call enroll() before recognize()"
-            )
-        features = self._featurize(recording)
-        distances = {}
-        for command, templates in self._templates.items():
-            best = min(
-                self._dtw_distance(features, template)
-                for template in templates
-            )
-            distances[command] = best
-        best_command = min(distances, key=distances.get)
-        best_distance = distances[best_command]
-        return RecognitionResult(
-            accepted=best_distance <= self.acceptance_threshold,
-            command=best_command,
-            distance=best_distance,
-            distances=distances,
-        )
-
-    def recognize_batch(
-        self, recordings: list[Signal]
-    ) -> list[RecognitionResult]:
-        """Match a stack of equal-length recordings against every command.
-
-        The batched counterpart of :meth:`recognize` for the vectorized
-        trial kernel. Every (recording, template) pair is scored by one
-        anti-diagonal sweep over a stacked DP tensor
-        (:meth:`_dtw_distance_batch`), instead of one Python-level DTW
-        per pair; entry ``i`` of the result is bitwise identical to
-        ``recognize(recordings[i])`` — same local costs, same step
-        rule, same tie-breaking.
-        """
-        if not self._templates:
-            raise RecognitionError(
-                "no commands enrolled; call enroll() before recognize()"
-            )
-        if not recordings:
-            return []
-        from repro.dsp.resample import resample_array
-
-        # One polyphase resample over the whole stack (rows are bitwise
-        # identical to per-recording resample, including the rates-
-        # already-match short circuit); silence trimming and MFCC
-        # extraction stay per row because trim lengths differ.
-        source_rate = recordings[0].sample_rate
-        if any(r.sample_rate != source_rate for r in recordings):
-            raise RecognitionError(
-                "recognize_batch expects one common sample rate"
-            )
-        stack = np.stack([r.samples for r in recordings])
-        if abs(self.CANONICAL_RATE_HZ - source_rate) < 1e-9:
-            canonical, rate = stack, source_rate
-        else:
-            canonical = resample_array(
-                stack, source_rate, self.CANONICAL_RATE_HZ
-            )
-            rate = self.CANONICAL_RATE_HZ
-        features = []
-        for row in canonical:
-            signal = recordings[0].replace(samples=row, sample_rate=rate)
-            features.append(self._extractor.extract(trim_silence(signal)))
-        pairs = []
-        for trial_features in features:
-            for templates in self._templates.values():
-                for template in templates:
-                    pairs.append((trial_features, template))
-        distances_flat = self._dtw_distance_batch(pairs)
-        results = []
-        index = 0
-        for _ in features:
-            distances = {}
-            for command, templates in self._templates.items():
-                distances[command] = min(
-                    distances_flat[index : index + len(templates)]
-                )
-                index += len(templates)
-            best_command = min(distances, key=distances.get)
-            best_distance = distances[best_command]
-            results.append(
-                RecognitionResult(
-                    accepted=best_distance <= self.acceptance_threshold,
-                    command=best_command,
-                    distance=best_distance,
-                    distances=distances,
-                )
-            )
-        return results
+        """Match a recording against every enrolled command: a batch of
+        one through :meth:`recognize_many`."""
+        return self.recognize_many([recording])[0]
 
     def recognize_many(
-        self, recordings: list[Signal], max_pairs: int = 2048
+        self, recordings: list[Signal]
     ) -> list[RecognitionResult]:
-        """Match many recordings of *any* lengths, batched by slab.
+        """Match recordings of any lengths against every command.
 
-        :meth:`recognize_batch` needs one common length (it stacks the
-        waveforms for a shared resample); the streaming kernel's
-        utterances close at arbitrary boundaries, so here each
-        recording is featurised individually (the exact
-        :meth:`recognize` front-end) and only the DTW — the dominant
-        cost — is batched. Pairs are swept in slabs of at most
-        ``max_pairs`` to bound the padded feature stacks' memory; slab
-        composition cannot change any score because every pair's DP
-        table is masked to its own band (padding cells stay at
-        infinity), so entry ``i`` is bitwise ``recognize(recordings[i])``.
+        The one recognition body and the one override point:
+        :meth:`recognize` and the trial pipeline's ``recognize`` stage
+        both land here. Each recording is featurised on its own
+        (resample, silence trim, MFCC) and only the DTW, the dominant
+        cost, is batched. Pairs are swept in slabs of at most
+        :attr:`MAX_PAIRS` to bound the padded feature stacks' memory.
+        Every pair's DP table is masked to its own band, so slab
+        composition cannot change a score: entry ``i`` is bitwise
+        ``recognize_many([recordings[i]])[0]``.
         """
         if not self._templates:
             raise RecognitionError(
                 "no commands enrolled; call enroll() before recognize()"
             )
-        if not recordings:
-            return []
-        if max_pairs < 1:
-            raise RecognitionError(
-                f"max_pairs must be >= 1, got {max_pairs}"
-            )
-        n_templates = sum(len(t) for t in self._templates.values())
-        per_slab = max(1, max_pairs // n_templates)
+        templates = [
+            (command, template)
+            for command, group in self._templates.items()
+            for template in group
+        ]
+        per_slab = max(1, self.MAX_PAIRS // len(templates))
         features = [self._featurize(r) for r in recordings]
         results: list[RecognitionResult] = []
         for lo in range(0, len(features), per_slab):
             chunk = features[lo : lo + per_slab]
-            pairs = []
-            for trial_features in chunk:
-                for templates in self._templates.values():
-                    for template in templates:
-                        pairs.append((trial_features, template))
-            distances_flat = self._dtw_distance_batch(pairs)
-            index = 0
+            scores = iter(
+                self._dtw_distance_batch(
+                    [
+                        (query, template)
+                        for query in chunk
+                        for _, template in templates
+                    ]
+                )
+            )
             for _ in chunk:
-                distances = {}
-                for command, templates in self._templates.items():
+                distances: dict[str, float] = {}
+                for command, _ in templates:
+                    score = next(scores)
                     distances[command] = min(
-                        distances_flat[index : index + len(templates)]
+                        distances.get(command, score), score
                     )
-                    index += len(templates)
                 best_command = min(distances, key=distances.get)
                 best_distance = distances[best_command]
                 results.append(
@@ -338,12 +259,14 @@ class KeywordRecognizer:
         anti-diagonal visits contiguous ranges of query and template
         frames, the local-cost operands are plain (reversed) slices of
         the padded feature stacks — no gather copies anywhere in the
-        loop. The per-cell arithmetic — Euclidean local cost, ``min``
-        of the three predecessors, out-of-band cells pinned at
-        infinity — is exactly :meth:`_dtw_distance`'s (the subtraction
-        writes a fresh contiguous temporary, so the coefficient-axis
-        reduction order is unchanged), so each returned value is
-        bitwise identical to the scalar score of that pair.
+        loop. The per-cell arithmetic is the textbook banded DTW's:
+        Euclidean local cost (the subtraction writes a fresh contiguous
+        temporary, so the coefficient-axis reduction order is that of
+        one row), ``min`` of the three unit-weight predecessors, and
+        out-of-band cells pinned at infinity. The score of a pair is
+        its cell ``(n, m)`` divided by ``n + m``, so sequences of
+        different lengths are comparable; no pair reads another's
+        cells, so each score is independent of the slab around it.
         """
         n_pairs = len(pairs)
         ns = np.empty(n_pairs, dtype=np.int64)
@@ -435,38 +358,3 @@ class KeywordRecognizer:
                 )
             out.append(float(distance / (int(ns[k]) + int(ms[k]))))
         return out
-
-    def _dtw_distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Band-constrained DTW, normalised by path-independent length.
-
-        Frame-pair cost is Euclidean distance in feature space; steps
-        are the standard (diagonal, vertical, horizontal) with unit
-        weights; the final distance is divided by ``len(a) + len(b)``
-        so different-length commands are comparable.
-        """
-        n, m = a.shape[0], b.shape[0]
-        if n == 0 or m == 0:
-            raise RecognitionError("cannot DTW-match empty feature matrices")
-        band = max(int(self.band_fraction * max(n, m)), abs(n - m) + 1)
-        # Pairwise distances, computed row-band by row-band.
-        inf = np.inf
-        cost = np.full((n + 1, m + 1), inf)
-        cost[0, 0] = 0.0
-        for i in range(1, n + 1):
-            j_low = max(1, i - band)
-            j_high = min(m, i + band)
-            row_a = a[i - 1]
-            diffs = b[j_low - 1 : j_high] - row_a
-            local = np.sqrt(np.sum(diffs * diffs, axis=1))
-            for offset, j in enumerate(range(j_low, j_high + 1)):
-                step = min(
-                    cost[i - 1, j - 1], cost[i - 1, j], cost[i, j - 1]
-                )
-                cost[i, j] = local[offset] + step
-        distance = cost[n, m]
-        if not np.isfinite(distance):
-            raise RecognitionError(
-                "DTW band too narrow for the length mismatch between "
-                f"sequences ({n} vs {m} frames)"
-            )
-        return float(distance / (n + m))

@@ -614,7 +614,6 @@ def drive_streams(
     attack_mask: np.ndarray,
     stream_seqs,
     emit,
-    profile=None,
 ) -> float:
     """Drive a partition of streams, scalar or vectorized.
 
@@ -676,7 +675,6 @@ def drive_streams(
                         for pos in positions
                     ],
                     [stream_seqs[pos] for pos in positions],
-                    profile=profile,
                 )
             for run in runs:
                 emit(run)
@@ -760,14 +758,13 @@ class FleetSimulator:
 
     # -- the run -------------------------------------------------------
 
-    def run(self, profile=None) -> FleetReport:
+    def run(self) -> FleetReport:
         """Synthesise, stream and decide the whole fleet.
 
-        ``profile`` (an optional
-        :class:`~repro.sim.pipeline.StageProfile`) accumulates the
-        vectorized kernel's per-stage wall time — how the streaming
-        benchmark attributes ingestion vs segmentation vs Welch vs
-        decide cost.
+        Run it under a :class:`~repro.obs.trace.Tracer` for the
+        vectorized kernel's per-stage wall time:
+        :meth:`~repro.sim.pipeline.StageProfile.from_spans` attributes
+        ingestion vs segmentation vs Welch vs decide cost.
         """
         config = self.config
         with maybe_span(
@@ -808,7 +805,6 @@ class FleetSimulator:
                 attack_mask,
                 stream_seqs,
                 raw_runs.append,
-                profile=profile,
             )
             results = [
                 raw.commit()

@@ -38,6 +38,12 @@ slabs), rows never exchange information, and the lockstep zero
 padding of shorter timelines is masked out of every decision — the
 kernel digest property in ``tests/stream/test_stream_kernel.py``
 pins this over arbitrary stream counts and groupings.
+
+The kernel reports its timing through trace spans only: with no
+tracer active it records nothing, and under one each stage window is
+a span under the group's ``stream-group`` span, which
+:meth:`~repro.sim.pipeline.StageProfile.from_spans` folds into the
+per-stage breakdown.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ from repro.dsp.framing import frame_count
 from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import DefenseError, StreamError
 from repro.obs.trace import current_tracer
-from repro.sim.pipeline import StageProfile
 from repro.speech.recognizer import KeywordRecognizer
 from repro.stream.chunker import ChunkedStreamBatch
 from repro.stream.features import WelchAccumulator, welch_segment_psd
@@ -72,10 +77,6 @@ from repro.stream.segmenter import (
     SegmenterConfig,
 )
 
-#: Stage-profile mode tag for the streaming kernel's breakdown.
-PROFILE_MODE = "stream"
-
-
 @dataclass
 class _Pending:
     """One closed utterance awaiting the batched decide phase."""
@@ -89,46 +90,6 @@ class _Pending:
     unit: str
 
 
-class _StageClock:
-    """Accumulate per-stage wall time for one kernel invocation.
-
-    With a tracer attached every ``start``/``stop`` window is also
-    recorded as one span under ``parent_id`` — the per-cycle
-    resolution the profile's aggregate totals throw away. Disabled
-    (no profile, no tracer), both methods reduce to a predicate
-    check.
-    """
-
-    def __init__(
-        self,
-        enabled: bool,
-        tracer=None,
-        parent_id: int | None = None,
-    ) -> None:
-        self.enabled = enabled or tracer is not None
-        self.tracer = tracer
-        self.parent_id = parent_id
-        self.seconds: dict[str, float] = {}
-        self._started = 0.0
-
-    def start(self) -> None:
-        if self.enabled:
-            self._started = time.perf_counter()
-
-    def stop(self, stage: str) -> None:
-        if self.enabled:
-            ended = time.perf_counter()
-            elapsed = ended - self._started
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed
-            if self.tracer is not None:
-                self.tracer.record(
-                    stage,
-                    self._started,
-                    ended,
-                    parent_id=self.parent_id,
-                )
-
-
 def drive_stream_group(
     config: FleetConfig,
     detector: InaudibleVoiceDetector,
@@ -139,7 +100,6 @@ def drive_stream_group(
     recordings_by_stream: list[list[Signal]],
     attack_by_stream: list[np.ndarray],
     seed_seqs: list[np.random.SeedSequence],
-    profile: StageProfile | None = None,
 ) -> tuple[list[RawStreamRun], float]:
     """Drive a group of streams in lockstep; per-stream results are
     bitwise :func:`~repro.stream.fleet.drive_stream`'s.
@@ -147,9 +107,14 @@ def drive_stream_group(
     Parameters mirror ``drive_stream`` with the stream axis pluralised:
     ``indices`` are the global stream indices of the group, and entry
     ``b`` of the per-stream lists is that stream's utterance
-    recordings, slot attack flags and seed sequence. ``profile``
-    (optional) accumulates the kernel's per-stage wall time under
-    mode ``"stream"``.
+    recordings, slot attack flags and seed sequence.
+
+    Under an ambient tracer every stage window (``assemble``,
+    ``ingest``, ``segment``, ``close``, ``welch``, ``recognize``,
+    ``detect``) is recorded as one span under the group's
+    ``stream-group`` span;
+    :meth:`~repro.sim.pipeline.StageProfile.from_spans` folds them into
+    the per-stage breakdown.
 
     Returns ``(runs, assemble_seconds)`` — the second element is the
     wall time spent synthesising the group's ambient timelines, which
@@ -189,7 +154,12 @@ def drive_stream_group(
         group_started = time.perf_counter()
     else:
         group_id = None
-    clock = _StageClock(profile is not None, tracer, group_id)
+
+    def stage(name: str, started: float) -> None:
+        if tracer is not None:
+            tracer.record(
+                name, started, time.perf_counter(), parent_id=group_id
+            )
 
     assemble_started = time.perf_counter()
     timelines = []
@@ -199,18 +169,6 @@ def drive_stream_group(
         timelines.append(assemble_timeline(config, rate, recordings, rng))
         units.append(recordings[0].unit)
     assemble_seconds = time.perf_counter() - assemble_started
-    if clock.enabled:
-        clock.seconds["assemble"] = (
-            clock.seconds.get("assemble", 0.0) + assemble_seconds
-        )
-    if tracer is not None:
-        tracer.record(
-            "assemble",
-            assemble_started,
-            assemble_started + assemble_seconds,
-            parent_id=group_id,
-        )
-    clock.start()
     lens = np.array([t.shape[0] for t in timelines], dtype=np.int64)
     max_len = int(lens.max())
     chunk = max(1, int(round(config.chunk_s * rate)))
@@ -223,7 +181,7 @@ def drive_stream_group(
         [frame_count(int(n), ring.frame_len, ring.hop) for n in lens],
         dtype=np.int64,
     )
-    clock.stop("assemble")
+    stage("assemble", assemble_started)
 
     # Per-row live-utterance state: (start_sample, WelchAccumulator).
     open_welch: list[WelchAccumulator | None] = [None] * n_group
@@ -236,7 +194,7 @@ def drive_stream_group(
         k = nxt - head
 
         # -- ingest: one lockstep push, one matrix frame-RMS --------
-        clock.start()
+        started = time.perf_counter()
         cycle = block[:, :k]
         for b in range(n_group):
             # Rows whose timeline covers the whole cycle (the common
@@ -253,11 +211,11 @@ def drive_stream_group(
         ring.push_block(cycle)
         head = nxt
         first, energies = ring.pending_frame_energies()
-        clock.stop("ingest")
+        stage("ingest", started)
         heads = np.minimum(lens, head)
 
         # -- segment: vectorised state machine over the new frames --
-        clock.start()
+        started = time.perf_counter()
         n_new = energies.shape[1]
         if n_new:
             frame_idx = first + np.arange(n_new)
@@ -265,10 +223,10 @@ def drive_stream_group(
             events = segmenter.process_block(first, energies, valid)
         else:
             events = []
-        clock.stop("segment")
+        stage("segment", started)
 
         # -- boundary events: the per-stream scalar fallback ---------
-        clock.start()
+        started = time.perf_counter()
         for event in events:
             if isinstance(event, BatchOpened):
                 for row in event.rows:
@@ -295,10 +253,10 @@ def drive_stream_group(
                             unit=units[row],
                         )
                     )
-        clock.stop("close")
+        stage("close", started)
 
         # -- welch: every due segment of the cycle in one FFT --------
-        clock.start()
+        started = time.perf_counter()
         open_mask = segmenter.in_utterance
         if open_mask.any():
             bounds = segmenter.commit_bounds(heads)
@@ -325,7 +283,7 @@ def drive_stream_group(
                 )
                 for welch, psd_row in zip(owners, psd_rows):
                     welch.fold(psd_row)
-        clock.stop("welch")
+        stage("welch", started)
 
         # -- release: retain open starts, the frame grid, lookback ---
         next_frame_start = ring.frames_emitted * ring.hop
@@ -338,7 +296,7 @@ def drive_stream_group(
         ring.release(max(ring.tail, keep))
 
     # -- flush: close still-open rows at their own stream ends -------
-    clock.start()
+    started = time.perf_counter()
     flush_event = segmenter.flush_open_rows(lens)
     if flush_event is not None:
         for row, start, end in zip(
@@ -360,21 +318,21 @@ def drive_stream_group(
                     unit=units[row],
                 )
             )
-    clock.stop("close")
+    stage("close", started)
 
     # -- recognize: all closed utterances through the DTW slab -------
-    clock.start()
+    started = time.perf_counter()
     flat = [(row, p) for row in range(n_group) for p in pending[row]]
     recognitions = recognizer.recognize_many(
         [Signal(p.samples, rate, p.unit) for _, p in flat]
     )
-    clock.stop("recognize")
+    stage("recognize", started)
 
     # -- detect: batched trace analyses for *accepted* utterances ----
     # The guard consults the detector only when recognition accepts
     # (guard_outcome's laziness); computing the PSD of a rejected
     # utterance could even raise where the scalar path would not.
-    clock.start()
+    started = time.perf_counter()
     accepted = [
         i for i, result in enumerate(recognitions) if result.accepted
     ]
@@ -401,7 +359,7 @@ def drive_stream_group(
                 analysis, subset=detector.feature_subset
             )
             detections[i] = detector.classify_features(vector)
-    clock.stop("detect")
+    stage("detect", started)
 
     outcomes: list[list[UtteranceOutcome]] = [[] for _ in range(n_group)]
     for i, (row, p) in enumerate(flat):
@@ -418,10 +376,6 @@ def drive_stream_group(
                 forced=p.forced,
             )
         )
-
-    if profile is not None:
-        for stage, seconds in clock.seconds.items():
-            profile.add(PROFILE_MODE, stage, seconds, n_group)
 
     if tracer is not None:
         group_ended = time.perf_counter()

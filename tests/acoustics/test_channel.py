@@ -125,11 +125,9 @@ class TestReceive:
 
 
 class TestBatchedTransmission:
-    """transmit()'s stacked-FFT fast path must be bitwise scalar.
-
-    Both engine modes route multi-source free-field groups through
-    this path, so no CLI diff can catch a drift — only this pin can.
-    """
+    """transmit() propagates source by source; a stacked kernel call
+    over all sources must sum to the same bits, and the propagation
+    model's one override point is honoured everywhere."""
 
     def _sources(self, n):
         return [
@@ -138,35 +136,44 @@ class TestBatchedTransmission:
         ]
 
     def test_multi_source_transmit_bitwise_equals_per_source_mix(self):
-        from repro.dsp.signals import mix
-
         channel = AcousticChannel(ambient_noise_spl=None)
         sources = self._sources(4)
         receiver = Position(3.0, 0.5, 0.0)
-        fast = channel.transmit(sources, receiver)
-        slow = mix(
-            [
-                channel._transmit_one(
-                    s.pressure_at_1m, s.position, receiver
-                )
-                for s in sources
-            ]
+        per_source = channel.transmit(sources, receiver)
+        stacked = channel.propagation.propagate_batch(
+            np.stack([s.pressure_at_1m.samples for s in sources]),
+            sources[0].pressure_at_1m.sample_rate,
+            [s.position.distance_to(receiver) for s in sources],
         )
-        assert np.array_equal(fast.samples, slow.samples)
+        summed = stacked[0].copy()
+        for row in stacked[1:]:
+            summed = np.add(summed, row)
+        assert np.array_equal(per_source.samples, summed)
 
-    def test_subclassed_propagation_takes_scalar_path(self):
-        class TaggedPropagation(PropagationModel):
-            pass
+    @pytest.mark.parametrize(
+        "room", [None, Room.meeting_room()], ids=["free_field", "room"]
+    )
+    def test_override_is_honoured(self, room):
+        """An override of propagate_batch, the one override point,
+        reaches free-field and room transmissions alike."""
 
-        channel = AcousticChannel(
-            ambient_noise_spl=None, propagation=TaggedPropagation()
+        class HalvedPropagation(PropagationModel):
+            def propagate_batch(self, *args, **kwargs):
+                return 0.5 * super().propagate_batch(*args, **kwargs)
+
+        halved = AcousticChannel(
+            room=room,
+            ambient_noise_spl=None,
+            propagation=HalvedPropagation(),
         )
-        other = AcousticChannel(ambient_noise_spl=None)
+        stock = AcousticChannel(room=room, ambient_noise_spl=None)
         sources = self._sources(3)
-        receiver = Position(2.0, 0.0, 0.0)
-        assert np.array_equal(
-            channel.transmit(sources, receiver).samples,
-            other.transmit(sources, receiver).samples,
+        receiver = Position(2.0, 1.0, 1.0)
+        assert np.allclose(
+            halved.transmit(sources, receiver).samples,
+            0.5 * stock.transmit(sources, receiver).samples,
+            rtol=1e-12,
+            atol=0.0,
         )
 
     def test_ambient_batch_rejects_none_generators(self):

@@ -9,8 +9,8 @@ from strategies import interior_positions, rooms
 from repro.acoustics.geometry import Position, Room
 from repro.acoustics.propagation import PropagationModel
 from repro.acoustics.room import ImageSourceRoomModel
-from repro.dsp.signals import Unit, tone
-from repro.errors import GeometryError
+from repro.dsp.signals import Unit, mix, tone
+from repro.errors import GeometryError, SignalDomainError
 
 
 @pytest.fixture()
@@ -56,6 +56,11 @@ class TestPaths:
 
 
 class TestTransmit:
+    def test_requires_pascal(self, room_model):
+        wave = tone(1000.0, 0.01, 48000.0)
+        with pytest.raises(SignalDomainError, match="pascals"):
+            room_model.transmit(wave, Position(1, 2, 1), Position(4, 2, 1))
+
     def test_reverberant_louder_than_free_field(self, room_model):
         wave = tone(1000.0, 0.1, 48000.0, unit=Unit.PASCAL)
         source, receiver = Position(1, 2, 1), Position(4, 2, 1)
@@ -81,24 +86,31 @@ class TestTransmit:
         assert energy(0.9) < energy(0.1)
 
 
-class TestTransmitBatch:
-    """The stacked reflection-fan kernel must be bitwise scalar.
+def per_path_mix(model, wave, source, receiver):
+    """The reflection fan partitioned into rows of one: every path
+    propagated alone, scaled by its wall factor, and mixed."""
+    return mix(
+        [
+            model.propagation.propagate(wave, path.distance_m)
+            * path.amplitude_factor
+            for path in model.paths(source, receiver)
+        ]
+    )
 
-    Room scenarios route through transmit_batch in *both* engine
-    modes, so the batch-vs-scalar CLI diff cannot catch a drift
-    between the 7-row stacked FFT and per-path propagate + mix — only
-    this pin can (the room counterpart of the free-field
-    propagate_batch pin in tests/test_properties.py).
-    """
+
+class TestTransmitBatch:
+    """transmit() sweeps the direct path and the six images as one
+    stacked kernel call; partitioning that stack into per-path calls
+    must not change a bit."""
 
     def test_bitwise_equals_transmit(self, room_model):
         wave = tone(1200.0, 0.05, 48000.0, unit=Unit.PASCAL)
         source, receiver = Position(1, 2, 1), Position(4, 2, 1)
-        scalar = room_model.transmit(wave, source, receiver)
-        batched = room_model.transmit_batch(wave, source, receiver)
-        assert np.array_equal(scalar.samples, batched.samples)
-        assert scalar.sample_rate == batched.sample_rate
-        assert scalar.unit == batched.unit
+        stacked = room_model.transmit(wave, source, receiver)
+        alone = per_path_mix(room_model, wave, source, receiver)
+        assert np.array_equal(stacked.samples, alone.samples)
+        assert stacked.sample_rate == alone.sample_rate
+        assert stacked.unit == alone.unit
 
     def test_bitwise_with_delay_and_long_signal(self):
         # > 64 rfft bins exercises the interpolated-absorption branch;
@@ -107,9 +119,9 @@ class TestTransmitBatch:
         model = ImageSourceRoomModel(room=Room.meeting_room())
         wave = tone(35000.0, 0.03, 192000.0, unit=Unit.PASCAL)
         source, receiver = Position(0.5, 2.0, 1.0), Position(5.5, 1.5, 1.2)
-        scalar = model.transmit(wave, source, receiver)
-        batched = model.transmit_batch(wave, source, receiver)
-        assert np.array_equal(scalar.samples, batched.samples)
+        stacked = model.transmit(wave, source, receiver)
+        alone = per_path_mix(model, wave, source, receiver)
+        assert np.array_equal(stacked.samples, alone.samples)
 
     @given(data=st.data(), room=rooms())
     @settings(max_examples=10, deadline=None)
@@ -120,9 +132,9 @@ class TestTransmitBatch:
             return
         model = ImageSourceRoomModel(room=room)
         wave = tone(900.0, 0.01, 16000.0, unit=Unit.PASCAL)
-        scalar = model.transmit(wave, source, receiver)
-        batched = model.transmit_batch(wave, source, receiver)
-        assert np.array_equal(scalar.samples, batched.samples)
+        stacked = model.transmit(wave, source, receiver)
+        alone = per_path_mix(model, wave, source, receiver)
+        assert np.array_equal(stacked.samples, alone.samples)
 
     def test_reflections_disabled_reduces_to_direct(self):
         model = ImageSourceRoomModel(
@@ -133,5 +145,5 @@ class TestTransmitBatch:
         direct = model.propagation.propagate(
             wave, source.distance_to(receiver)
         )
-        batched = model.transmit_batch(wave, source, receiver)
-        assert np.array_equal(direct.samples, batched.samples)
+        transmitted = model.transmit(wave, source, receiver)
+        assert np.array_equal(direct.samples, transmitted.samples)

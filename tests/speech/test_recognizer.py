@@ -102,10 +102,14 @@ class TestNoiseRobustness:
 
 
 class TestDtwInternals:
+    @staticmethod
+    def distance(recognizer, a, b):
+        return recognizer._dtw_distance_batch([(a, b)])[0]
+
     def test_identical_sequences_zero_distance(self):
         recognizer = KeywordRecognizer()
         features = np.random.default_rng(1).normal(size=(40, 10))
-        assert recognizer._dtw_distance(features, features) == pytest.approx(
+        assert self.distance(recognizer, features, features) == pytest.approx(
             0.0
         )
 
@@ -114,14 +118,12 @@ class TestDtwInternals:
         rng = np.random.default_rng(2)
         base = np.cumsum(rng.normal(size=(50, 8)), axis=0)
         stretched = np.repeat(base, 2, axis=0)[::2][:50]
-        warped_distance = recognizer._dtw_distance(base, stretched)
+        warped_distance = self.distance(recognizer, base, stretched)
         other = np.cumsum(rng.normal(size=(50, 8)), axis=0)
-        random_distance = recognizer._dtw_distance(base, other)
+        random_distance = self.distance(recognizer, base, other)
         assert warped_distance < random_distance
 
     def test_empty_features_rejected(self):
         recognizer = KeywordRecognizer()
         with pytest.raises(RecognitionError):
-            recognizer._dtw_distance(
-                np.zeros((0, 4)), np.zeros((5, 4))
-            )
+            self.distance(recognizer, np.zeros((0, 4)), np.zeros((5, 4)))

@@ -23,6 +23,7 @@ from strategies import chunk_partitions, index_partitions
 
 from repro.errors import StreamError
 from repro.experiments.s1_streaming import train_detector
+from repro.speech.recognizer import KeywordRecognizer
 from repro.stream import kernel
 from repro.stream.chunker import ChunkedStream, ChunkedStreamBatch
 from repro.stream.fleet import (
@@ -219,27 +220,41 @@ class TestKernelDigestParity:
 
 
 class TestRecognizeMany:
-    def test_matches_scalar_recognize_bitwise(self, stream_probes):
-        recordings, recognizer = stream_probes
-        batched = recognizer.recognize_many(recordings)
-        for recording, result in zip(recordings, batched):
-            single = recognizer.recognize(recording)
-            assert result.accepted == single.accepted
-            assert result.command == single.command
-            assert result.distance == single.distance
+    @staticmethod
+    def fields(result):
+        return (
+            result.accepted,
+            result.command,
+            result.distance,
+            result.distances,
+        )
 
-    def test_slab_composition_is_invisible(self, stream_probes):
-        """Tiny max_pairs forces multiple DTW slabs; results are the
-        single-slab ones exactly."""
+    def test_batch_partition_is_invisible(self, stream_probes):
+        """Recognising the probes together equals recognising each one
+        alone, field by field, including every command's distance. A
+        truncated copy mixes lengths inside the slab."""
+        recordings, recognizer = stream_probes
+        genuine = recordings[1]
+        recordings = list(recordings) + [
+            genuine.replace(samples=genuine.samples[: genuine.n_samples // 2])
+        ]
+        together = recognizer.recognize_many(recordings)
+        assert len(together) == len(recordings)
+        for recording, result in zip(recordings, together):
+            alone = recognizer.recognize_many([recording])[0]
+            assert self.fields(result) == self.fields(alone)
+
+    def test_slab_composition_is_invisible(
+        self, stream_probes, monkeypatch
+    ):
+        """A one-pair slab budget forces one DTW slab per recording;
+        results are the single-slab ones exactly."""
         recordings, recognizer = stream_probes
         whole = recognizer.recognize_many(recordings)
-        sliced = recognizer.recognize_many(recordings, max_pairs=1)
+        monkeypatch.setattr(KeywordRecognizer, "MAX_PAIRS", 1)
+        sliced = recognizer.recognize_many(recordings)
         for a, b in zip(whole, sliced):
-            assert (a.accepted, a.command, a.distance) == (
-                b.accepted,
-                b.command,
-                b.distance,
-            )
+            assert self.fields(a) == self.fields(b)
 
 
 def _random_rows(rows: int, n: int, seed: int = 7) -> np.ndarray:

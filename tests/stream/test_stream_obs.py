@@ -20,6 +20,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import activate as activate_metrics
 from repro.obs.trace import Tracer, activate
+from repro.sim.pipeline import StageProfile
 from repro.stream.fleet import FleetConfig, FleetSimulator
 from repro.stream.shard import (
     ShardedFleetSimulator,
@@ -103,6 +104,41 @@ class TestCompleteness:
         )
         assert latencies == sorted(report.latencies_s())
         assert {span.attrs["stream"] for span in utterances} == {0, 1}
+
+    def test_stage_profile_folds_each_group_into_one_call(
+        self, stream_detector
+    ):
+        # Three streams in groups of two: two groups, 2 + 1 streams.
+        tracer = Tracer()
+        with activate(tracer):
+            FleetSimulator(
+                stream_detector,
+                small_config(n_streams=3, batch_streams=2, workers=1),
+            ).run()
+        rows = [
+            row
+            for row in StageProfile.from_spans(tracer.spans).as_rows()
+            if row["mode"] == "stream"
+        ]
+        assert [row["stage"] for row in rows] == [
+            "assemble", "ingest", "segment", "close", "welch",
+            "recognize", "detect",
+        ]
+        groups = {
+            span.span_id
+            for span in tracer.spans
+            if span.name == "stream-group"
+        }
+        children = [
+            span
+            for span in tracer.spans
+            if span.parent_id in groups and span.name != "utterance"
+        ]
+        assert sum(row["seconds"] for row in rows) == pytest.approx(
+            sum(span.duration_s for span in children)
+        )
+        for row in rows:
+            assert (row["calls"], row["trials"]) == (2, 3)
 
     def test_scalar_path_emits_stream_and_utterance_spans(
         self, stream_detector
