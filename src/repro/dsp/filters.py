@@ -110,6 +110,27 @@ def butter_sos(
     return _butter_sos_design(order, tuple(edges), btype, float(fs)).copy()
 
 
+@lru_cache(maxsize=128)
+def _sos_filtfilt_design(
+    sos_bytes: bytes, n_sections: int
+) -> tuple[np.ndarray, int]:
+    """The row-invariant half of ``sosfiltfilt`` for one SOS design:
+    ``(zi, edge)``, memoised.
+
+    ``zi`` is ``sosfilt_zi`` (one linear solve per section) and
+    ``edge`` scipy's default odd-extension length. Keyed by the
+    design's bytes, so any caller's copy of a cached Butterworth
+    design — or a hand-built ``sos`` — hits the same entry; ``zi`` is
+    read-only because it is shared.
+    """
+    sos = np.frombuffer(sos_bytes, dtype=np.float64).reshape(n_sections, 6)
+    ntaps = 2 * n_sections + 1
+    ntaps -= min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
+    zi = sp_signal.sosfilt_zi(sos)
+    zi.flags.writeable = False
+    return zi, ntaps * 3
+
+
 def sos_filtfilt_array(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     """Zero-phase SOS filtering along the last axis of a raw array.
 
@@ -117,7 +138,8 @@ def sos_filtfilt_array(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     library: scalar :class:`Signal` filtering and the batched
     ``*_array`` variants both land here, so a stacked
     ``(n_signals, n_samples)`` batch is filtered row-by-row with
-    *bitwise* the same arithmetic as one waveform at a time.
+    *bitwise* the same arithmetic as one waveform at a time — a 1-D
+    waveform is a batch of one.
 
     Float32 input stays float32 (the opt-in fast-math path); anything
     else is promoted to float64, the golden mode.
@@ -136,8 +158,6 @@ def sos_filtfilt_array(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
             f"signal too short ({x.shape[-1]} samples) for "
             f"zero-phase filtering at this order"
         )
-    if x.ndim == 1:
-        return sp_signal.sosfiltfilt(sos, x, axis=-1)
     # Filter a stack one row at a time. Handing the whole
     # (n_signals, n_samples) block to sosfiltfilt re-reads the full
     # stack from main memory on every cascaded-section pass (and pays
@@ -146,28 +166,36 @@ def sos_filtfilt_array(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     #
     # The per-row passes below replicate scipy's sosfiltfilt exactly
     # (odd extension, x[0]/y[-1]-scaled initial conditions, default
-    # padlen) but hoist the row-invariant work — sosfilt_zi's per-
-    # section linear solves and the padlen arithmetic — out of the
-    # loop, where sosfiltfilt would redo it for every row.
-    n_sections = sos.shape[0]
-    ntaps = 2 * n_sections + 1
-    ntaps -= min(int((sos[:, 2] == 0).sum()), int((sos[:, 5] == 0).sum()))
-    edge = ntaps * 3
-    zi = sp_signal.sosfilt_zi(sos)
+    # padlen) but take the design-invariant work — sosfilt_zi's per-
+    # section linear solves and the padlen arithmetic — from a cache,
+    # where sosfiltfilt would redo it for every call and every row.
+    sos = np.ascontiguousarray(sos, dtype=np.float64)
+    zi, edge = _sos_filtfilt_design(sos.tobytes(), sos.shape[0])
+    if x.ndim == 1:
+        # No output buffer: the filtered view is returned as is, so a
+        # long waveform costs no extra copy.
+        return _filtfilt_row(x, sos, zi, edge).astype(dtype, copy=False)
     out = np.empty_like(x)
     for index in range(x.shape[0]):
-        row = x[index]
-        ext = np.concatenate(
-            (
-                2 * row[:1] - row[edge:0:-1],
-                row,
-                2 * row[-1:] - row[-2 : -(edge + 2) : -1],
-            )
-        )
-        y, _ = sp_signal.sosfilt(sos, ext, zi=zi * ext[:1])
-        y, _ = sp_signal.sosfilt(sos, y[::-1], zi=zi * y[-1:])
-        out[index] = y[::-1][edge:-edge]
+        out[index] = _filtfilt_row(x[index], sos, zi, edge)
     return out
+
+
+def _filtfilt_row(
+    row: np.ndarray, sos: np.ndarray, zi: np.ndarray, edge: int
+) -> np.ndarray:
+    """One waveform forward and back through ``sos``: odd extension,
+    x[0]/y[-1]-scaled initial conditions, extension trimmed."""
+    ext = np.concatenate(
+        (
+            2 * row[:1] - row[edge:0:-1],
+            row,
+            2 * row[-1:] - row[-2 : -(edge + 2) : -1],
+        )
+    )
+    y, _ = sp_signal.sosfilt(sos, ext, zi=zi * ext[:1])
+    y, _ = sp_signal.sosfilt(sos, y[::-1], zi=zi * y[-1:])
+    return y[::-1][edge:-edge]
 
 
 def _apply_sos(signal: Signal, sos: np.ndarray) -> Signal:

@@ -14,6 +14,7 @@ signals are rich in energy right at band edges.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -56,6 +57,26 @@ def rational_ratio(
     return ratio.numerator, ratio.denominator
 
 
+@lru_cache(maxsize=64)
+def _polyphase_window(up: int, down: int, dtype: type) -> np.ndarray:
+    """The anti-aliasing FIR ``resample_poly`` designs by default for
+    ``up/down`` (in lowest terms, as :func:`rational_ratio` returns
+    it), memoised per ratio and dtype (read-only: shared).
+
+    scipy designs a Kaiser (beta 5) low-pass of
+    ``20 * max(up, down) + 1`` taps cut at ``1 / max(up, down)`` of
+    Nyquist in the input's dtype — the same ``firwin`` call, so
+    passing this array as ``window=`` is bitwise the default, without
+    the per-call redesign.
+    """
+    max_rate = max(up, down)
+    h = sp_signal.firwin(
+        20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0)
+    ).astype(dtype)
+    h.flags.writeable = False
+    return h
+
+
 def resample_array(
     x: np.ndarray, source_rate: float, target_rate: float
 ) -> np.ndarray:
@@ -77,8 +98,13 @@ def resample_array(
     if abs(target_rate - source_rate) < 1e-9:
         return x.copy()
     up, down = rational_ratio(target_rate, source_rate)
+    if up == down:  # equal rates within rational_ratio's tolerance
+        return x.copy()
     return np.asarray(
-        sp_signal.resample_poly(x, up, down, axis=-1), dtype=dtype
+        sp_signal.resample_poly(
+            x, up, down, axis=-1, window=_polyphase_window(up, down, dtype)
+        ),
+        dtype=dtype,
     )
 
 

@@ -223,7 +223,7 @@ class ChunkedStreamBatch:
     The structure-of-arrays counterpart of :class:`ChunkedStream` for
     the fleet kernel (:mod:`repro.stream.kernel`): ``n_streams`` rows
     advance with one global ``head`` — every cycle pushes the same
-    number of samples to every row (shorter timelines are zero-padded
+    number of samples to every row (rows that have ended are padded
     by the kernel and masked at the frame level) — so the ring is a
     single ``(n_streams, capacity)`` array and a push is one 2-D
     write instead of ``n_streams`` scalar ones.

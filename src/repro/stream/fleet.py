@@ -487,6 +487,82 @@ class RawStreamRun:
         )
 
 
+class TimelineSource:
+    """One device's audio timeline — lead-in, utterances, gaps —
+    drawn block by block, in order.
+
+    A device never holds its whole audio history, and neither does
+    the fleet: ambient noise is drawn from ``rng`` only when a block
+    reaches it, each piece as ``rng.normal(0.0, 1.0, k) *
+    background_rms``. Split ``Generator.normal`` draws produce the
+    same values as one draw of the summed size, so *any* partition of
+    the reads concatenates bitwise to the whole timeline
+    (:func:`assemble_timeline`). Both stream paths — the scalar loop
+    (:func:`drive_stream`) and the vectorized kernel — read through
+    this class, which makes it the first link in their bitwise-parity
+    chain.
+    """
+
+    def __init__(
+        self,
+        config: FleetConfig,
+        rate: float,
+        recordings: list[Signal],
+        rng: np.random.Generator,
+    ) -> None:
+        mean_rms = float(
+            np.mean([recording.rms() for recording in recordings])
+        )
+        self._rng = rng
+        self._background_rms = config.background_ratio * max(
+            mean_rms, 1e-12
+        )
+        lead_in = int(round(config.lead_in_s * rate))
+        gap = int(round(config.gap_s * rate))
+        # Each piece is a recording's samples or an ambient sample
+        # count (``None`` payload) still to be drawn.
+        self._pieces: list[tuple[int, np.ndarray | None]] = [(lead_in, None)]
+        for recording in recordings:
+            self._pieces.append((recording.n_samples, recording.samples))
+            self._pieces.append((gap, None))
+        self.length = sum(n for n, _ in self._pieces)
+        self.position = 0
+        self._piece = 0
+        self._offset = 0
+
+    def read_into(self, out: np.ndarray) -> int:
+        """Fill ``out`` with the next samples; returns how many were
+        written (fewer than ``out.shape[0]`` only at the end)."""
+        want = out.shape[0]
+        filled = 0
+        while filled < want and self._piece < len(self._pieces):
+            n, samples = self._pieces[self._piece]
+            k = min(want - filled, n - self._offset)
+            if samples is None:
+                np.multiply(
+                    self._rng.normal(0.0, 1.0, k),
+                    self._background_rms,
+                    out=out[filled : filled + k],
+                )
+            else:
+                out[filled : filled + k] = samples[
+                    self._offset : self._offset + k
+                ]
+            filled += k
+            self._offset += k
+            if self._offset == n:
+                self._piece += 1
+                self._offset = 0
+        self.position += filled
+        return filled
+
+    def read(self, n: int) -> np.ndarray:
+        """The next ``n`` samples (fewer only at the end)."""
+        out = np.empty(min(n, self.length - self.position))
+        self.read_into(out)
+        return out
+
+
 def assemble_timeline(
     config: FleetConfig,
     rate: float,
@@ -495,24 +571,13 @@ def assemble_timeline(
 ) -> np.ndarray:
     """One device's full audio timeline: lead-in, utterances, gaps.
 
-    Shared verbatim by the scalar loop (:func:`drive_stream`) and the
-    vectorized kernel, so both paths consume the identical generator
-    draws — the first link in their bitwise-parity chain.
+    The :class:`TimelineSource` read to its end, for callers that
+    want the whole array at once (an offline oracle replaying the
+    timeline); the fleet's own stream paths read the source block by
+    block instead.
     """
-    mean_rms = float(
-        np.mean([recording.rms() for recording in recordings])
-    )
-    background_rms = config.background_ratio * max(mean_rms, 1e-12)
-
-    def ambient(duration_s: float) -> np.ndarray:
-        n = int(round(duration_s * rate))
-        return rng.normal(0.0, 1.0, n) * background_rms
-
-    pieces = [ambient(config.lead_in_s)]
-    for recording in recordings:
-        pieces.append(recording.samples)
-        pieces.append(ambient(config.gap_s))
-    return np.concatenate(pieces)
+    source = TimelineSource(config, rate, recordings, rng)
+    return source.read(source.length)
 
 
 def drive_stream(
@@ -525,8 +590,7 @@ def drive_stream(
     recordings: list[Signal],
     attack_mask: np.ndarray,
     seed_seq: np.random.SeedSequence,
-    timeline: np.ndarray | None = None,
-) -> RawStreamRun:
+) -> tuple[RawStreamRun, float]:
     """One device's whole timeline through its own guard.
 
     Module-level (picklable by reference) and a pure function of its
@@ -535,15 +599,16 @@ def drive_stream(
     reference path; :func:`drive_streams` dispatches to it or to the
     structure-of-arrays kernel per ``config.vectorized``.
 
-    ``timeline`` (optional) supplies a pre-assembled timeline —
-    exactly ``assemble_timeline(config, rate, recordings, rng)`` for
-    this stream's generator — so the dispatcher can account synthesis
-    as prepare time; omitted, the stream assembles its own.
+    Each chunk is drawn from the stream's :class:`TimelineSource` just
+    before it is pushed, so only the open utterance and the guard's
+    lookback are ever held. Returns ``(run, assemble_seconds)`` — the
+    second element is the wall time spent drawing the timeline, which
+    the fleet accounts as prepare (workload generation), not
+    streaming.
     """
-    if timeline is None:
-        rng = np.random.default_rng(seed_seq)
-        timeline = assemble_timeline(config, rate, recordings, rng)
-    samples = timeline
+    source = TimelineSource(
+        config, rate, recordings, np.random.default_rng(seed_seq)
+    )
     guard = StreamingGuard(
         recognizer,
         detector,
@@ -556,8 +621,12 @@ def drive_stream(
     tracer = current_tracer()
     stream_started = time.perf_counter() if tracer is not None else 0.0
     outcomes: list[UtteranceOutcome] = []
-    for start in range(0, samples.shape[0], chunk):
-        outcomes.extend(guard.push(samples[start : start + chunk]))
+    assemble_seconds = 0.0
+    while source.position < source.length:
+        started = time.perf_counter()
+        samples = source.read(chunk)
+        assemble_seconds += time.perf_counter() - started
+        outcomes.extend(guard.push(samples))
     outcomes.extend(guard.flush())
     if tracer is not None:
         ended = time.perf_counter()
@@ -584,12 +653,13 @@ def drive_stream(
                 accepted=bool(outcome.outcome.recognition.accepted),
                 forced=outcome.forced,
             )
-    return RawStreamRun(
+    run = RawStreamRun(
         index=index,
         is_attack=tuple(bool(flag) for flag in attack_mask),
-        duration_s=samples.shape[0] / rate,
+        duration_s=source.length / rate,
         outcomes=outcomes,
     )
+    return run, assemble_seconds
 
 
 def check_fleet_rate(recordings: list[Signal]) -> float:
@@ -629,10 +699,11 @@ def drive_streams(
     queue's ``put``, or a plain list append) — completion order may
     vary with threading, but each run's content never does.
 
-    Returns the seconds spent *assembling* timelines (ambient
-    synthesis — workload generation, identical draws on both paths),
-    which callers subtract from their streaming wall clock and account
-    as prepare time alongside utterance synthesis.
+    Returns the seconds spent drawing timeline blocks from the
+    streams' :class:`TimelineSource` objects (ambient synthesis —
+    workload generation, identical draws on both paths), which callers
+    subtract from their streaming wall clock and account as prepare
+    time alongside utterance synthesis.
     """
     per = config.utterances_per_stream
     n_local = len(stream_indices)
@@ -688,30 +759,13 @@ def drive_streams(
             return sum(pool.map(drive_group, group_bounds))
 
     def drive(pos: int) -> float:
-        started = time.perf_counter()
-        rng = np.random.default_rng(stream_seqs[pos])
-        timeline = assemble_timeline(
-            config,
-            rate,
-            recordings[pos * per : (pos + 1) * per],
-            rng,
-        )
-        assembled = time.perf_counter() - started
-        if tracer is not None:
-            tracer.record(
-                "assemble",
-                started,
-                started + assembled,
-                parent_id=dispatch_parent,
-                stream=int(stream_indices[pos]),
-            )
         context = (
             tracer.attached(dispatch_parent)
             if tracer is not None
             else nullcontext()
         )
         with context:
-            run = drive_stream(
+            run, assembled = drive_stream(
                 config,
                 detector,
                 segmenter_config,
@@ -721,7 +775,6 @@ def drive_streams(
                 recordings[pos * per : (pos + 1) * per],
                 attack_mask[pos * per : (pos + 1) * per],
                 stream_seqs[pos],
-                timeline=timeline,
             )
         emit(run)
         return assembled

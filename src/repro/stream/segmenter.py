@@ -352,7 +352,7 @@ class OnlineSegmenterBatch:
     in-frame order (open-state snapshot first, so a row opening at
     frame ``f`` never runs the close branch at ``f``, and vice versa).
 
-    Rows fall out of lockstep only by *length*: the kernel zero-pads
+    Rows fall out of lockstep only by *length*: the kernel pads
     shorter timelines, and the per-frame ``valid`` mask (row still has
     real frames) freezes a finished row's state exactly where its
     scalar counterpart stopped.
@@ -434,7 +434,7 @@ class OnlineSegmenterBatch:
         ``energies`` is ``(n_streams, n_new)`` (from the batched ring);
         ``valid[i, j]`` marks whether lockstep frame ``first_frame + j``
         is a *real* frame of row ``i`` (frames over a finished row's
-        zero padding are skipped, freezing that row's state). Because
+        padding are skipped, freezing that row's state). Because
         every row starts at frame 0 and rows only ever *stop* being
         valid, a valid row's private frame counter always equals the
         lockstep frame index — which is why rows opening together

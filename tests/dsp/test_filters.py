@@ -124,14 +124,15 @@ class TestFirFilters:
 
 
 class TestSosFiltfiltArray:
-    """The hoisted-zi 2-D branch is bitwise scipy ``sosfiltfilt``.
+    """The cached-zi per-row path is bitwise scipy ``sosfiltfilt``.
 
-    The batch path hoists the per-call initial-condition solve and the
-    pad-length computation out of the row loop; these tests pin the
-    claim that the hoist changes *nothing* numerically — every row of
-    the 2-D result equals the per-row scipy reference to the bit,
-    across filter orders (including order 1, which trims ``ntaps``)
-    and odd/even lengths.
+    The batch path takes the initial-condition solve and the
+    pad-length computation from a per-design cache instead of redoing
+    them per call and per row; these tests pin the claim that the
+    cache changes *nothing* numerically — every row of the 2-D result,
+    and a 1-D waveform (a batch of one), equals the scipy reference to
+    the bit, across filter orders (including order 1, which trims
+    ``ntaps``) and odd/even lengths.
     """
 
     @pytest.mark.parametrize(
@@ -179,7 +180,49 @@ class TestSosFiltfiltArray:
             )
             assert np.array_equal(got[index], want)
 
+    @pytest.mark.parametrize(
+        "btype, kwargs",
+        [
+            ("lowpass", dict(N=6, Wn=0.3)),
+            ("highpass", dict(N=3, Wn=0.05)),
+            ("bandpass", dict(N=8, Wn=(0.15, 0.35))),
+        ],
+    )
+    def test_one_and_two_dimensional_bitwise_vs_scipy(self, btype, kwargs):
+        from scipy import signal as sp_signal
+
+        from repro.dsp.filters import sos_filtfilt_array
+
+        sos = sp_signal.butter(btype=btype, output="sos", **kwargs)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 2001))
+        # Twice: the second call is served by the design cache.
+        for _ in range(2):
+            assert np.array_equal(
+                sos_filtfilt_array(x[0], sos),
+                sp_signal.sosfiltfilt(sos, x[0]),
+            )
+            got = sos_filtfilt_array(x, sos)
+            for index in range(x.shape[0]):
+                assert np.array_equal(
+                    got[index], sp_signal.sosfiltfilt(sos, x[index])
+                )
+
+    def test_cached_initial_conditions_are_read_only(self):
+        from scipy import signal as sp_signal
+
+        from repro.dsp.filters import _sos_filtfilt_design
+
+        sos = sp_signal.butter(4, 0.25, output="sos")
+        zi, edge = _sos_filtfilt_design(sos.tobytes(), sos.shape[0])
+        assert not zi.flags.writeable
+        assert np.array_equal(zi, sp_signal.sosfilt_zi(sos))
+        assert edge == 3 * (2 * sos.shape[0] + 1)
+        with pytest.raises(ValueError):
+            zi[0, 0] = 1.0
+
     def test_one_dimensional_input_delegates(self):
+        # A 1-D waveform delegates to the batch path as one row.
         from scipy import signal as sp_signal
 
         from repro.dsp.filters import sos_filtfilt_array

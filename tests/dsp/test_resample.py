@@ -1,8 +1,16 @@
 """Unit tests for sample-rate conversion."""
 
+import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
-from repro.dsp.resample import rational_ratio, resample, upsample_to
+from repro.dsp.resample import (
+    _polyphase_window,
+    rational_ratio,
+    resample,
+    resample_array,
+    upsample_to,
+)
 from repro.dsp.signals import Unit, tone
 from repro.dsp.spectrum import dominant_frequency
 from repro.errors import SampleRateError
@@ -66,6 +74,44 @@ class TestResample:
         s = tone(100.0, 1.0, 8000.0)
         up = resample(s, 16000.0)
         assert up.n_samples == pytest.approx(2 * s.n_samples, abs=2)
+
+
+class TestResampleArray:
+    """The cached anti-aliasing window is bitwise scipy's default."""
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(192000.0, 16000.0), (44100.0, 48000.0), (16000.0, 48000.0)],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_vs_default_resample_poly(self, source, target, dtype):
+        x = np.random.default_rng(3).normal(size=(3, 4001)).astype(dtype)
+        up, down = rational_ratio(target, source)
+        # Twice: the second call is served by the window cache.
+        for _ in range(2):
+            got = resample_array(x, source, target)
+            want = sp_signal.resample_poly(x, up, down, axis=-1)
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.asarray(want, dtype=dtype))
+            assert np.array_equal(
+                resample_array(x[1], source, target),
+                np.asarray(
+                    sp_signal.resample_poly(x[1], up, down), dtype=dtype
+                ),
+            )
+
+    def test_ratio_of_one_within_tolerance_is_a_copy(self):
+        x = np.random.default_rng(4).normal(size=(2, 300))
+        got = resample_array(x, 48000.0, 48000.00001)
+        assert np.array_equal(got, x)
+        assert got is not x
+
+    def test_cached_window_is_read_only(self):
+        window = _polyphase_window(1, 12, np.float64)
+        assert not window.flags.writeable
+        assert window.shape == (241,)
+        with pytest.raises(ValueError):
+            window[0] = 1.0
 
 
 class TestUpsampleTo:

@@ -1,11 +1,29 @@
-"""Fleet simulator: worker-count determinism and report integrity."""
+"""Fleet simulator: worker-count determinism, report integrity and
+the block-by-block timeline source.
+
+The ``FUZZ_EXAMPLES`` environment variable scales the source's
+partition property (CI's fuzz job widens it).
+"""
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import chunk_partitions
 
 from repro.errors import StreamError
-from repro.stream.fleet import FleetConfig, FleetSimulator
+from repro.stream.fleet import (
+    FleetConfig,
+    FleetSimulator,
+    TimelineSource,
+    assemble_timeline,
+)
+
+FUZZ_EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "6"))
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +132,61 @@ class TestConfigValidation:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(Exception):
             FleetConfig(scenario="no_such_place")
+
+
+def reference_timeline(config, rate, recordings, rng):
+    """The timeline written out whole: lead-in noise, then each
+    recording followed by its gap noise, all from one generator."""
+    mean_rms = float(np.mean([r.rms() for r in recordings]))
+    background = config.background_ratio * max(mean_rms, 1e-12)
+    pieces = [
+        rng.normal(0.0, 1.0, int(round(config.lead_in_s * rate)))
+        * background
+    ]
+    for recording in recordings:
+        pieces.append(recording.samples)
+        pieces.append(
+            rng.normal(0.0, 1.0, int(round(config.gap_s * rate)))
+            * background
+        )
+    return np.concatenate(pieces)
+
+
+class TestTimelineSource:
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    @given(
+        lead_in_s=st.sampled_from([0.0, 0.013, 0.4]),
+        gap_s=st.sampled_from([0.0, 0.021, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_any_block_partition_concatenates_to_the_timeline(
+        self, stream_probes, lead_in_s, gap_s, seed, data
+    ):
+        """Reading the source in any blocks — across ambient pieces,
+        recordings and zero-length gaps — gives the inline reference
+        bitwise, and so does ``assemble_timeline``."""
+        recordings, _ = stream_probes
+        rate = recordings[0].sample_rate
+        config = FleetConfig(lead_in_s=lead_in_s, gap_s=gap_s)
+        reference = reference_timeline(
+            config, rate, recordings, np.random.default_rng(seed)
+        )
+        whole = assemble_timeline(
+            config, rate, recordings, np.random.default_rng(seed)
+        )
+        assert np.array_equal(whole, reference)
+
+        source = TimelineSource(
+            config, rate, recordings, np.random.default_rng(seed)
+        )
+        assert source.length == reference.shape[0]
+        blocks = [
+            source.read(size)
+            for size in data.draw(
+                chunk_partitions(source.length, max_parts=12)
+            )
+        ]
+        assert source.position == source.length
+        assert source.read(7).shape == (0,)
+        assert np.array_equal(np.concatenate(blocks), reference)

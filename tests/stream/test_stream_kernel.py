@@ -15,6 +15,8 @@ row-for-row frame-energy equivalence with the scalar ring.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +31,7 @@ from repro.stream.chunker import ChunkedStream, ChunkedStreamBatch
 from repro.stream.fleet import (
     FleetConfig,
     FleetSimulator,
+    TimelineSource,
     check_fleet_rate,
     fleet_seed_plan,
     synthesize_utterances,
@@ -217,6 +220,73 @@ class TestKernelDigestParity:
         assert len(kernel_streams) == len(loop_streams) == n_streams
         for a, b in zip(kernel_streams, loop_streams):
             assert a == b, f"stream {a.index} differs"
+
+
+class TestStreamGroup:
+    def test_working_set_does_not_grow_with_the_timeline(
+        self, stream_detector, stream_probes
+    ):
+        """The group draws each cycle's block on demand: quadrupling
+        the ambient gaps adds megabytes of timeline per stream but
+        (almost) nothing to the group's peak traced allocation —
+        NumPy reports its buffers to ``tracemalloc``."""
+        recordings, recognizer = stream_probes
+        rate = check_fleet_rate(recordings)
+        n_group = 16
+        seqs = np.random.SeedSequence(4).spawn(n_group)
+        by_stream = [[recordings[b % 2]] for b in range(n_group)]
+        flags = [np.array([b % 2 == 0]) for b in range(n_group)]
+        peaks, timeline_bytes = {}, {}
+        for gap_s in (6.0, 24.0):
+            config = FleetConfig(n_streams=n_group, gap_s=gap_s)
+            timeline_bytes[gap_s] = 8 * sum(
+                TimelineSource(
+                    config, rate, stream, np.random.default_rng(seq)
+                ).length
+                for stream, seq in zip(by_stream, seqs)
+            )
+            tracemalloc.start()
+            try:
+                runs, _ = kernel.drive_stream_group(
+                    config,
+                    stream_detector,
+                    None,
+                    list(range(n_group)),
+                    rate,
+                    recognizer,
+                    by_stream,
+                    flags,
+                    seqs,
+                )
+                peaks[gap_s] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(runs) == n_group
+        extra = timeline_bytes[24.0] - timeline_bytes[6.0]
+        assert extra > 30e6
+        assert peaks[24.0] - peaks[6.0] < 0.1 * extra
+
+    def test_push_validation(self, stream_detector, stream_probes):
+        recordings, recognizer = stream_probes
+        rate = check_fleet_rate(recordings)
+        group = kernel.StreamGroup(
+            stream_detector, None, [0, 1], rate, recognizer, ["Pa", "Pa"]
+        )
+        block = np.zeros((2, 4))
+        with pytest.raises(StreamError):
+            group.push(block, [4, 5])  # more real samples than the block
+        with pytest.raises(StreamError):
+            group.push(block, [4])  # one count per row
+        group.push(block, [4, 2])  # row 1 ends
+        assert group.lengths.tolist() == [4, 2]
+        with pytest.raises(StreamError):
+            group.push(block, [4, 1])  # an ended row cannot resume
+        group.push(block, [4, 0])
+        assert group.flush() == [[], []]
+        with pytest.raises(StreamError):
+            kernel.StreamGroup(
+                stream_detector, None, [0, 1], rate, recognizer, ["Pa"]
+            )
 
 
 class TestRecognizeMany:
