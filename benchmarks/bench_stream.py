@@ -10,14 +10,14 @@ run-over-run trajectory:
   implementation).
 * **Fleet throughput** — a mostly-idle device fleet (ambient with one
   command per stream, the duty cycle real assistants see) run twice
-  on identical audio: once through the scalar per-stream loop (the
-  "before" reference), once through the structure-of-arrays kernel
-  (:mod:`repro.stream.kernel`). Each path makes ``REPEATS`` passes
+  on identical audio: once with every stream in a lockstep group of
+  its own (``vectorized=False``, the reference), once in 64-stream
+  groups of the kernel (:mod:`repro.stream.kernel`). Each path makes ``REPEATS`` passes
   and the fastest wall clock wins (min-of-N: interference only adds
   time), with the digest checked across every pass. The headline
   figure is ``sustained_streams``: stream-seconds of audio processed
-  per wall second, i.e. how many live 1x device streams this machine
-  holds.
+  per wall second over the outer wall clock of the streaming phase,
+  i.e. how many live 1x device streams this machine holds.
   Gates: the two digests are bitwise identical, and the kernel
   sustains >= 250 streams. The timed passes run untraced; one more
   kernel pass runs under a tracer, and
@@ -35,8 +35,8 @@ run-over-run trajectory:
 * **Mega fleet** (``--mega``, full runs only) — the ROADMAP's
   five-digit demonstration: 10,000 concurrent streams on the quick
   duty cycle, sharded 120 streams per shard, vectorized — then the
-  whole fleet again through the scalar per-stream loop, whose digest
-  must match bitwise. Slow (it streams ~80k stream-seconds twice);
+  whole fleet again in groups of one, whose digest must match
+  bitwise. Slow (it streams ~80k stream-seconds twice);
   not part of the CI gate set.
 
 Every record embeds :func:`repro.sim.bench.machine_metadata` (cpu
@@ -75,7 +75,8 @@ from repro.stream.shard import ShardedFleetSimulator
 
 #: The acceptance gate: live 1x device streams the machine must hold.
 #: Raised from 100 to 250 when the structure-of-arrays kernel landed
-#: (the scalar loop sustains ~120-150 on one core; the kernel ~400+).
+#: (the scalar per-stream loop it replaced sustained ~120-150 on one
+#: core; the kernel ~400+).
 SUSTAINED_STREAMS_GATE = 250
 
 #: The sharded gate: live 1x streams each core must hold — sustaining
@@ -146,11 +147,11 @@ def bench_fleet(
 ) -> tuple[dict, StageProfile]:
     """Sustained concurrent streams on a mostly-idle fleet.
 
-    Runs the workload through both paths — scalar per-stream loop and
-    the structure-of-arrays kernel — so the record carries the honest
-    before/after on identical audio, and gates the digests against
+    Runs the workload through both group widths — every stream in a
+    group of its own, and 64-stream groups — so the record carries the
+    batching gain on identical audio, and gates the digests against
     each other: the headline number can never be quoted from a kernel
-    that diverged from the per-stream reference. Each path makes
+    whose grouping leaked into results. Each path makes
     ``REPEATS`` passes and the fastest wall clock is recorded
     (min-of-N); every pass must produce the same digest. The per-stage
     breakdown comes from one further, traced kernel pass.
@@ -320,9 +321,9 @@ def bench_mega_fleet(seed: int, scenario: str) -> dict:
 
     The full fleet runs sharded through the structure-of-arrays kernel
     (120 streams per shard, the benched per-core load), then the whole
-    workload repeats through the scalar per-stream loop. The scalar
-    pass exists for one reason: its digest is the reference the
-    kernel's must equal bitwise at this scale — the acceptance
+    workload repeats with every stream in a group of its own. That
+    pass exists for one reason: its digest is the reference the wide
+    groups' must equal bitwise at this scale — the acceptance
     criterion that vectorization grouping never leaks into results,
     demonstrated on the fleet size the ROADMAP targets rather than
     the unit-test sizes.
@@ -411,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=f"also run the {MEGA_STREAMS}-stream sharded "
         "demonstration (slow: streams the whole workload twice, "
-        "kernel and scalar, for the at-scale digest gate)",
+        "wide groups and groups of one, for the at-scale digest gate)",
     )
     parser.add_argument(
         "--output",
@@ -503,8 +504,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not fleet["digest_identical"]:
         print(
-            "FAIL: structure-of-arrays kernel digest diverged from "
-            "the scalar per-stream loop",
+            "FAIL: 64-stream group digest diverged from groups of "
+            "one",
             file=sys.stderr,
         )
         return 1
@@ -518,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     if mega is not None and not mega["digest_identical"]:
         print(
             f"FAIL: {MEGA_STREAMS}-stream kernel digest diverged "
-            "from the scalar per-stream loop",
+            "from groups of one",
             file=sys.stderr,
         )
         return 1
@@ -542,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"ok: parity bitwise, {fleet['sustained_streams']} concurrent "
         f"streams sustained single-process "
-        f"({fleet['kernel_speedup']:.1f}x over the scalar loop's "
+        f"({fleet['kernel_speedup']:.1f}x over groups of one at "
         f"{fleet['scalar_sustained_streams']}, digests bitwise; mean "
         f"latency {fleet['mean_latency_ms']:.0f} ms); sharded "
         f"digest bitwise, {sharded['sustained_streams']} streams over "
@@ -556,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
             f"ok: mega fleet held {mega['n_streams']} concurrent "
             f"streams over {mega['shards']} shards "
             f"({mega['sustained_streams']} sustained, "
-            f"{mega['kernel_speedup']:.1f}x over scalar, digest "
+            f"{mega['kernel_speedup']:.1f}x over groups of one, digest "
             "bitwise at scale)",
             file=sys.stderr,
         )

@@ -215,10 +215,10 @@ def analyses_from_psd(
     """Assemble trace analyses from an already-estimated Welch PSD.
 
     The back half of :func:`analyze_traces_batch`, split out so the
-    streaming guard's incremental extractor — which accumulates the
-    same Welch segments online as an utterance's chunks arrive — can
-    finish through *the same* band-power, envelope and correlation
-    arithmetic and stay bitwise identical to the offline path. ``psd``
+    streaming guard — which accumulates the same Welch segments online
+    as an utterance's chunks arrive — can finish through *the same*
+    band-power, envelope and correlation arithmetic and stay bitwise
+    identical to the offline path. ``psd``
     must be the ``(n_signals, n_bins)`` matrix a
     :data:`TRACE_WINDOW`-windowed Welch estimate of ``batch`` produces
     (:func:`~repro.dsp.spectrum.welch_psd_matrix` offline,

@@ -5,29 +5,35 @@ complete recording in, a verdict out. This package is the online
 counterpart: audio arrives as arbitrary-sized chunks, utterances are
 delimited causally, and the defense's features accumulate
 incrementally so the verdict lands a bounded, deterministic time
-after the speech ends.
+after the speech ends. There is one streaming stack, built for a
+group of streams; a single device is a group of one.
 
 ``chunker``
-    :class:`~repro.stream.chunker.ChunkedStream`, the
-    absolute-indexed ring buffer and its frame grid (shared with the
-    offline VAD through :mod:`repro.dsp.framing`).
+    :class:`~repro.stream.chunker.ChunkedStreamBatch`, the
+    absolute-indexed ring buffer of a stream group and its frame grid
+    (shared with the offline VAD through :mod:`repro.dsp.framing`).
 ``segmenter``
-    :class:`~repro.stream.segmenter.OnlineSegmenter`, the causal
-    VAD gate with hysteresis and a noise-floor tracker.
+    :class:`~repro.stream.segmenter.OnlineSegmenterBatch`, the causal
+    VAD gate with hysteresis and a noise-floor tracker, per row.
 ``features``
-    :class:`~repro.stream.features.WelchAccumulator` and
-    :class:`~repro.stream.features.StreamingTraceExtractor` —
-    incremental defense features, bitwise-matched to the offline
-    estimators at utterance close.
+    :class:`~repro.stream.features.WelchAccumulator` — incremental
+    Welch accumulation, bitwise-matched to the offline estimator at
+    utterance close.
+``kernel``
+    :class:`~repro.stream.kernel.StreamGroup`, which composes the
+    three above and decides every utterance in the cycle that closes
+    it (:func:`~repro.stream.kernel.decide`), and
+    :func:`~repro.stream.kernel.drive_stream_group`, the fleet's
+    caller.
 ``guard``
     :class:`~repro.stream.guard.StreamingGuard`, the online guarded
-    assistant (same :class:`~repro.defense.guard.GuardedOutcome`, same
-    decision policy as the offline one).
+    assistant: a stream group of one (same
+    :class:`~repro.defense.guard.GuardedOutcome`, same decision policy
+    as the offline one).
 ``fleet``
     :class:`~repro.stream.fleet.FleetSimulator`, hundreds of
-    concurrent device streams multiplexed over the batched trial
-    pipeline, with per-stream ``SeedSequence`` randomness and
-    worker-count-independent results.
+    concurrent device streams in lockstep groups, with per-stream
+    ``SeedSequence`` randomness and grouping-independent results.
 ``shard``
     :class:`~repro.stream.shard.ShardedFleetSimulator`, the fleet
     partitioned into per-process shards with commit-queue result
@@ -35,11 +41,7 @@ after the speech ends.
     for every shard × worker count.
 """
 
-from repro.stream.chunker import ChunkedStream
-from repro.stream.features import (
-    StreamingTraceExtractor,
-    WelchAccumulator,
-)
+from repro.stream.features import WelchAccumulator
 from repro.stream.fleet import (
     FleetConfig,
     FleetReport,
@@ -58,21 +60,11 @@ from repro.stream.shard import (
     plan_shards,
     run_shard,
 )
-from repro.stream.segmenter import (
-    OnlineSegmenter,
-    SegmenterConfig,
-    UtteranceClosed,
-    UtteranceOpened,
-)
+from repro.stream.segmenter import SegmenterConfig
 
 __all__ = [
-    "ChunkedStream",
     "WelchAccumulator",
-    "StreamingTraceExtractor",
-    "OnlineSegmenter",
     "SegmenterConfig",
-    "UtteranceOpened",
-    "UtteranceClosed",
     "StreamingGuard",
     "UtteranceOutcome",
     "FleetConfig",

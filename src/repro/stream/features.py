@@ -1,4 +1,4 @@
-"""Stateful incremental defense-feature extraction.
+"""Incremental defense-feature extraction.
 
 The offline defense measures an utterance once it is complete:
 :func:`repro.defense.traces.analyze_traces` runs a Welch PSD and band
@@ -14,39 +14,41 @@ as soon as each segment's samples are *committed* (guaranteed to lie
 inside the eventual utterance). Because float addition order and the
 per-segment arithmetic are identical, the finalized PSD is bitwise
 equal to the offline estimate of the closed utterance, which is the
-foundation of the streaming guard's parity guarantee.
-
-:class:`StreamingTraceExtractor` wraps the accumulator with the
-utterance sample buffer and finishes through
+foundation of the streaming guard's parity guarantee. The stream
+group (:mod:`repro.stream.kernel`) computes the due segments of a
+whole cycle in one batched FFT (:func:`welch_segment_psd`) and folds
+the rows back; at close it finishes through
 :func:`repro.defense.traces.analyses_from_psd` — the same band-power,
 envelope and correlation arithmetic the offline path uses. The band
 envelopes are zero-phase (non-causal) filters and are therefore
-computed at close over the retained utterance, a few seconds of audio
-per stream; the Welch work, the dominant cost, is already done by
-then.
+computed at close over the closed utterance.
 
-Commit semantics: ``feed`` may run ahead of the utterance's eventual
-end (the segmenter only knows the end retroactively, after its
-hangover), so segments are accumulated only up to ``commit(n)`` — a
-monotone lower bound on the final length. ``finalize(length)`` then
-processes the remaining whole segments below ``length`` and
-assembles the analysis.
+Commit semantics: the segmenter only knows an utterance's end
+retroactively, after its hangover, so segments are accumulated only
+up to a monotone lower bound on the final length.
+``finalize(buffer, length)`` then processes the remaining whole
+segments below ``length`` and rejects a commit that overran it.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.defense.traces import (
-    TRACE_SEGMENT_SAMPLES,
-    TRACE_WINDOW,
-    TraceAnalysis,
-    analyses_from_psd,
-)
+from repro.defense.traces import TRACE_SEGMENT_SAMPLES, TRACE_WINDOW
 from repro.dsp import windows as win
-from repro.dsp.signals import SignalBatch, Unit
 from repro.dsp.spectrum import welch_psd_matrix
 from repro.errors import StreamError
+
+
+@functools.lru_cache(maxsize=8)
+def _segment_window(window: str, length: int) -> tuple[np.ndarray, float]:
+    """A read-only ``length``-point window and its energy, built once
+    per process: every utterance's accumulator shares them."""
+    values = win.get_window(window, length)
+    values.setflags(write=False)
+    return values, float(np.sum(np.square(values)))
 
 
 def welch_segment_psd(
@@ -58,8 +60,8 @@ def welch_segment_psd(
     window, rfft, squared magnitude, density scale — as one batched
     op. ``np.fft.rfft`` computes each row of a 2-D input with the
     same plan as a single-row transform, so row ``j`` is bitwise the
-    scalar accumulator's contribution for that segment; the fleet
-    kernel exploits this by gathering every due segment across a whole
+    accumulator's :meth:`~WelchAccumulator.advance` contribution for
+    that segment; the stream group exploits this by gathering every due segment across a whole
     stream group into one stack and folding the rows back into each
     stream's accumulator in order.
     """
@@ -101,10 +103,8 @@ class WelchAccumulator:
         self.overlap = float(overlap)
         self.window = window
         self.step = max(1, int(round(segment_length * (1 - overlap))))
-        self._w = win.get_window(window, self.segment_length)
-        self._scale = 1.0 / (
-            self.sample_rate * np.sum(np.square(self._w))
-        )
+        self._w, energy = _segment_window(window, self.segment_length)
+        self._scale = 1.0 / (self.sample_rate * energy)
         self._acc = np.zeros((1, self.segment_length // 2 + 1))
         self._count = 0
         self._next_start = 0
@@ -217,117 +217,3 @@ class WelchAccumulator:
             psd[..., 1:] *= 2.0
         freqs = np.fft.rfftfreq(n_seg, d=1.0 / self.sample_rate)
         return freqs, psd
-
-
-class StreamingTraceExtractor:
-    """Per-utterance incremental trace analysis.
-
-    One extractor lives for one utterance: the guard feeds it chunks
-    as they arrive, commits the monotone in-utterance lower bound the
-    segmenter can prove, and finalizes at close. The result is a
-    :class:`~repro.defense.traces.TraceAnalysis` bitwise identical to
-    ``analyze_traces(Signal(samples[:length], rate, unit))``.
-    """
-
-    def __init__(
-        self, sample_rate: float, unit: str = Unit.DIGITAL
-    ) -> None:
-        if sample_rate < 8000.0:
-            raise StreamError(
-                "trace extraction needs at least an 8 kHz stream, got "
-                f"{sample_rate} Hz"
-            )
-        self.sample_rate = float(sample_rate)
-        self.unit = unit
-        self._welch = WelchAccumulator(sample_rate)
-        self._buf = np.empty(0, dtype=np.float64)
-        self._n = 0
-        self._committed = 0
-        self._finalized = False
-
-    @property
-    def n_fed(self) -> int:
-        """Samples fed so far."""
-        return self._n
-
-    @property
-    def committed(self) -> int:
-        """Samples committed as certainly in-utterance."""
-        return self._committed
-
-    def feed(self, samples: np.ndarray) -> None:
-        """Append a chunk of candidate utterance samples."""
-        self._require_open()
-        chunk = np.asarray(samples, dtype=np.float64)
-        if chunk.ndim != 1:
-            raise StreamError(
-                f"feed expects a 1-D chunk, got shape {chunk.shape}"
-            )
-        needed = self._n + chunk.size
-        if needed > self._buf.shape[0]:
-            grown = np.empty(
-                max(needed, 2 * self._buf.shape[0], 4096),
-                dtype=np.float64,
-            )
-            grown[: self._n] = self._buf[: self._n]
-            self._buf = grown
-        self._buf[self._n : needed] = chunk
-        self._n = needed
-
-    def commit(self, n_samples: int) -> None:
-        """Promise that the first ``n_samples`` are in the utterance.
-
-        Monotone; accumulating runs immediately, so the Welch work is
-        spread across pushes instead of landing at close.
-        """
-        self._require_open()
-        if n_samples > self._n:
-            raise StreamError(
-                f"cannot commit {n_samples} of {self._n} fed samples"
-            )
-        if n_samples <= self._committed:
-            return
-        self._committed = n_samples
-        self._welch.advance(self._buf, n_samples)
-
-    def waveform(self, length: int | None = None) -> np.ndarray:
-        """Copy of the fed samples (prefix of ``length`` if given)."""
-        length = self._n if length is None else length
-        if not 0 <= length <= self._n:
-            raise StreamError(
-                f"waveform length {length} outside [0, {self._n}]"
-            )
-        return self._buf[:length].copy()
-
-    def finalize(self, length: int | None = None) -> TraceAnalysis:
-        """Close the utterance and assemble its trace analysis.
-
-        ``length`` trims trailing samples that turned out to lie past
-        the utterance's end (it must not cut below ``committed``).
-        The extractor is spent afterwards.
-        """
-        self._require_open()
-        length = self._n if length is None else length
-        if not 0 < length <= self._n:
-            raise StreamError(
-                f"finalize length {length} outside (0, {self._n}]"
-            )
-        if length < self._committed:
-            raise StreamError(
-                f"finalize length {length} below committed "
-                f"{self._committed}; commit() overran the close "
-                "boundary"
-            )
-        self._finalized = True
-        freqs, psd = self._welch.finalize(self._buf, length)
-        batch = SignalBatch(
-            self._buf[np.newaxis, :length], self.sample_rate, self.unit
-        )
-        return analyses_from_psd(batch, freqs, psd)[0]
-
-    def _require_open(self) -> None:
-        if self._finalized:
-            raise StreamError(
-                "this extractor was finalized; create a fresh one per "
-                "utterance"
-            )

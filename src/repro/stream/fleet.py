@@ -5,14 +5,15 @@ devices; the per-request fast path must therefore be independent and
 conflict-free (the Harmonia lesson: near-linear scaling comes from
 state that multiplexes without coordination). The streaming guard has
 exactly that shape — all per-stream state lives in the stream's own
-ring buffer, segmenter and extractor; the recogniser and detector are
-immutable after enrollment/fit and shared read-only.
+rows of its group's ring, segmenter and accumulators; the recogniser
+and detector are immutable after enrollment/fit and shared read-only.
 
 :class:`FleetSimulator` exercises it: ``n_streams`` simulated devices,
 each an independent audio timeline (ambient lead-in, utterances,
-ambient gaps) pushed chunk-by-chunk through its own
-:class:`~repro.stream.guard.StreamingGuard`. The utterance recordings
-are synthesised through the *batched*
+ambient gaps) drawn block by block (:class:`TimelineSource`) and
+pushed through lockstep stream groups
+(:func:`~repro.stream.kernel.drive_stream_group`). The utterance
+recordings are synthesised through the *batched*
 :class:`~repro.sim.pipeline.TrialPipeline` — one transmission per
 class, every stream's per-utterance variation riding the stacked
 per-trial stages — with per-stream generators spawned from one
@@ -20,24 +21,19 @@ per-trial stages — with per-stream generators spawned from one
 function of its config:
 
 * verdicts, boundaries and stream-time latencies are bitwise
-  identical for every ``workers`` value (threads change wall clock,
-  never results — the determinism test pins this);
+  identical for every ``batch_streams``, ``workers`` and ``shards``
+  value (the determinism suites pin this);
 * wall-clock throughput is reported separately
-  (:attr:`FleetReport.wall_seconds`), which is what
-  ``benchmarks/bench_stream.py`` records in ``BENCH_stream.json``.
+  (:attr:`FleetReport.wall_seconds`, the outer wall clock of the
+  streaming phase), which is what ``benchmarks/bench_stream.py``
+  records in ``BENCH_stream.json``.
 
-Within one simulator, streams are processed by a thread pool.
-Threads, not processes, are the right model *inside* a core's worth
-of work: the heavy per-chunk DSP is NumPy/SciPy work that releases
-the GIL, and sharing the enrolled recogniser and fitted detector
-read-only costs nothing, where per-process copies would dominate
-start-up. To scale *across* cores, :mod:`repro.stream.shard`
-partitions the fleet into per-process shards, each running this
-module's stream loop over its own partition — which is why the loop
-body (:func:`drive_stream`), the per-class synthesis
-(:func:`synthesize_utterances`, emission-cached per process through
-:mod:`repro.sim.engine`) and the result containers here are all
-module-level and picklable.
+:func:`drive_streams` is the one streaming dispatcher; to scale
+*across* cores, :mod:`repro.stream.shard` partitions the fleet into
+per-process shards that each call it over their own partition — which
+is why it, the per-class synthesis (:func:`synthesize_utterances`,
+emission-cached per process through :mod:`repro.sim.engine`) and the
+result containers here are all module-level and picklable.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,8 +60,10 @@ from repro.sim.engine import EmissionSpec, cached_voice
 from repro.sim.pipeline import build_pipeline, level_stage
 from repro.sim.spec import RIG_POSITION, get_scenario
 from repro.speech.recognizer import KeywordRecognizer
-from repro.stream.guard import StreamingGuard, UtteranceOutcome
 from repro.stream.segmenter import SegmenterConfig
+
+if TYPE_CHECKING:  # the kernel imports this module
+    from repro.stream.kernel import UtteranceOutcome
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,15 @@ class FleetConfig:
         identical for every value (the shard determinism suite and CI
         job pin it).
     vectorized:
-        Drive streams through the structure-of-arrays kernel
-        (:mod:`repro.stream.kernel`) instead of the per-stream scalar
-        loop. Results are bitwise identical either way — the knob
-        exists for the differential oracle and for benchmarking the
-        scalar baseline.
+        ``False`` drives every stream in a group of its own instead of
+        ``batch_streams``-wide groups. Results are bitwise identical
+        either way. Kept only because ``perfbench/`` constructs
+        configs with it; it goes with ``workers`` when that benchmark
+        is next revised.
     batch_streams:
-        Streams per kernel lockstep group (vectorized mode). Any
-        value produces the identical digest; it trades batched-op
-        width against working-set memory.
+        Streams per lockstep group (``vectorized`` mode). Any value
+        produces the identical digest; it trades batched-op width
+        against working-set memory.
     """
 
     scenario: str = "free_field"
@@ -239,12 +238,13 @@ class FleetReport:
     config: FleetConfig
     sample_rate: float
     streams: list[StreamResult] = field(repr=False)
-    #: Workload-generation cost: utterance synthesis plus ambient
-    #: timeline assembly. A deployment receives its audio, so neither
-    #: belongs in the streaming throughput denominator.
+    #: Utterance synthesis, the workload generation before streaming
+    #: starts.
     prepare_seconds: float = 0.0
-    #: The streaming hot path: ingestion, segmentation, Welch
-    #: accumulation and the decide phase (recognition + detection).
+    #: The outer wall clock of the streaming phase: ambient timeline
+    #: draws, ingestion, segmentation, Welch accumulation and the
+    #: decide phase (recognition + detection), however many threads
+    #: share it.
     wall_seconds: float = 0.0
     #: Per-shard streaming wall clock (empty when unsharded). The
     #: spread diagnoses load imbalance; the coordinator's
@@ -464,7 +464,7 @@ class RawStreamRun:
     drains.
 
     The driving thread produces this (cheap: references, no
-    summarisation) and moves on to its next stream; converting the
+    summarisation) and moves on to its next group; converting the
     guard outcomes into the deterministic :class:`StreamResult`
     digest happens off the ingestion hot path (in the shard's commit
     queue, or inline in the unsharded simulator).
@@ -497,10 +497,8 @@ class TimelineSource:
     background_rms``. Split ``Generator.normal`` draws produce the
     same values as one draw of the summed size, so *any* partition of
     the reads concatenates bitwise to the whole timeline
-    (:func:`assemble_timeline`). Both stream paths — the scalar loop
-    (:func:`drive_stream`) and the vectorized kernel — read through
-    this class, which makes it the first link in their bitwise-parity
-    chain.
+    (:func:`assemble_timeline`), so a stream group's block draws are
+    the timeline an offline oracle replays.
     """
 
     def __init__(
@@ -573,93 +571,11 @@ def assemble_timeline(
 
     The :class:`TimelineSource` read to its end, for callers that
     want the whole array at once (an offline oracle replaying the
-    timeline); the fleet's own stream paths read the source block by
+    timeline); the fleet's stream groups read the source block by
     block instead.
     """
     source = TimelineSource(config, rate, recordings, rng)
     return source.read(source.length)
-
-
-def drive_stream(
-    config: FleetConfig,
-    detector: InaudibleVoiceDetector,
-    segmenter_config: SegmenterConfig | None,
-    index: int,
-    rate: float,
-    recognizer: KeywordRecognizer,
-    recordings: list[Signal],
-    attack_mask: np.ndarray,
-    seed_seq: np.random.SeedSequence,
-) -> tuple[RawStreamRun, float]:
-    """One device's whole timeline through its own guard.
-
-    Module-level (picklable by reference) and a pure function of its
-    arguments, so the unsharded thread pool and the per-process shard
-    workers execute the identical loop body. This is the scalar
-    reference path; :func:`drive_streams` dispatches to it or to the
-    structure-of-arrays kernel per ``config.vectorized``.
-
-    Each chunk is drawn from the stream's :class:`TimelineSource` just
-    before it is pushed, so only the open utterance and the guard's
-    lookback are ever held. Returns ``(run, assemble_seconds)`` — the
-    second element is the wall time spent drawing the timeline, which
-    the fleet accounts as prepare (workload generation), not
-    streaming.
-    """
-    source = TimelineSource(
-        config, rate, recordings, np.random.default_rng(seed_seq)
-    )
-    guard = StreamingGuard(
-        recognizer,
-        detector,
-        rate,
-        unit=recordings[0].unit,
-        gated=True,
-        segmenter_config=segmenter_config,
-    )
-    chunk = max(1, int(round(config.chunk_s * rate)))
-    tracer = current_tracer()
-    stream_started = time.perf_counter() if tracer is not None else 0.0
-    outcomes: list[UtteranceOutcome] = []
-    assemble_seconds = 0.0
-    while source.position < source.length:
-        started = time.perf_counter()
-        samples = source.read(chunk)
-        assemble_seconds += time.perf_counter() - started
-        outcomes.extend(guard.push(samples))
-    outcomes.extend(guard.flush())
-    if tracer is not None:
-        ended = time.perf_counter()
-        stream_span = tracer.record(
-            "stream",
-            stream_started,
-            ended,
-            stream=index,
-            utterances=len(outcomes),
-        )
-        # Same marker shape as the kernel's decide phase: zero wall
-        # width, stream-time latency in the attributes.
-        for outcome in outcomes:
-            tracer.record(
-                "utterance",
-                ended,
-                ended,
-                parent_id=stream_span.span_id,
-                stream=index,
-                latency_s=(
-                    outcome.emitted_at_sample - outcome.end_sample
-                )
-                / rate,
-                accepted=bool(outcome.outcome.recognition.accepted),
-                forced=outcome.forced,
-            )
-    run = RawStreamRun(
-        index=index,
-        is_attack=tuple(bool(flag) for flag in attack_mask),
-        duration_s=source.length / rate,
-        outcomes=outcomes,
-    )
-    return run, assemble_seconds
 
 
 def check_fleet_rate(recordings: list[Signal]) -> float:
@@ -684,13 +600,14 @@ def drive_streams(
     attack_mask: np.ndarray,
     stream_seqs,
     emit,
-) -> float:
-    """Drive a partition of streams, scalar or vectorized.
+) -> None:
+    """Drive a partition of streams through lockstep stream groups.
 
     The single streaming dispatcher: the unsharded simulator and every
     shard worker (:func:`repro.stream.shard.run_shard`) route through
-    it, so ``config.vectorized`` composes with sharding — each shard
-    process runs its own kernel groups over its own partition.
+    it, so each shard process runs its own groups over its own
+    partition. Groups are ``config.batch_streams`` wide, or one stream
+    wide when ``config.vectorized`` is off.
 
     ``stream_indices[pos]`` is the *global* index of local position
     ``pos``; ``recordings``/``attack_mask`` are laid out per local
@@ -698,15 +615,12 @@ def drive_streams(
     stream's :class:`RawStreamRun` is handed to ``emit`` (a commit
     queue's ``put``, or a plain list append) — completion order may
     vary with threading, but each run's content never does.
-
-    Returns the seconds spent drawing timeline blocks from the
-    streams' :class:`TimelineSource` objects (ambient synthesis —
-    workload generation, identical draws on both paths), which callers
-    subtract from their streaming wall clock and account as prepare
-    time alongside utterance synthesis.
     """
+    from repro.stream import kernel  # deferred: kernel imports us
+
     per = config.utterances_per_stream
     n_local = len(stream_indices)
+    width = config.batch_streams if config.vectorized else 1
     # The nesting stack is thread-local: capture the dispatcher's
     # parent here so pool threads attach their spans under it.
     tracer = current_tracer()
@@ -714,75 +628,35 @@ def drive_streams(
         tracer.current_parent() if tracer is not None else None
     )
 
-    if config.vectorized:
-        from repro.stream import kernel  # deferred: kernel imports us
-
-        group_bounds = list(
-            range(0, n_local, config.batch_streams)
-        )
-
-        def drive_group(lo: int) -> float:
-            hi = min(lo + config.batch_streams, n_local)
-            positions = range(lo, hi)
-            context = (
-                tracer.attached(dispatch_parent)
-                if tracer is not None
-                else nullcontext()
-            )
-            with context:
-                runs, assembled = kernel.drive_stream_group(
-                    config,
-                    detector,
-                    segmenter_config,
-                    [int(stream_indices[pos]) for pos in positions],
-                    rate,
-                    recognizer,
-                    [
-                        recordings[pos * per : (pos + 1) * per]
-                        for pos in positions
-                    ],
-                    [
-                        attack_mask[pos * per : (pos + 1) * per]
-                        for pos in positions
-                    ],
-                    [stream_seqs[pos] for pos in positions],
-                )
-            for run in runs:
-                emit(run)
-            return assembled
-
-        if config.workers == 1 or len(group_bounds) == 1:
-            return sum(drive_group(lo) for lo in group_bounds)
-        with ThreadPoolExecutor(
-            max_workers=config.workers
-        ) as pool:
-            return sum(pool.map(drive_group, group_bounds))
-
-    def drive(pos: int) -> float:
+    def drive_group(lo: int) -> None:
+        positions = range(lo, min(lo + width, n_local))
         context = (
             tracer.attached(dispatch_parent)
             if tracer is not None
             else nullcontext()
         )
         with context:
-            run, assembled = drive_stream(
+            runs, _ = kernel.drive_stream_group(
                 config,
                 detector,
                 segmenter_config,
-                int(stream_indices[pos]),
+                [int(stream_indices[pos]) for pos in positions],
                 rate,
                 recognizer,
-                recordings[pos * per : (pos + 1) * per],
-                attack_mask[pos * per : (pos + 1) * per],
-                stream_seqs[pos],
+                [recordings[pos * per : (pos + 1) * per] for pos in positions],
+                [attack_mask[pos * per : (pos + 1) * per] for pos in positions],
+                [stream_seqs[pos] for pos in positions],
             )
-        emit(run)
-        return assembled
+        for run in runs:
+            emit(run)
 
-    if config.workers == 1:
-        return sum(drive(pos) for pos in range(n_local))
+    group_bounds = range(0, n_local, width)
+    if config.workers == 1 or len(group_bounds) == 1:
+        for lo in group_bounds:
+            drive_group(lo)
+        return
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return sum(pool.map(drive, range(n_local)))
+        list(pool.map(drive_group, group_bounds))
 
 
 class FleetSimulator:
@@ -815,7 +689,7 @@ class FleetSimulator:
         """Synthesise, stream and decide the whole fleet.
 
         Run it under a :class:`~repro.obs.trace.Tracer` for the
-        vectorized kernel's per-stage wall time:
+        stream groups' per-stage wall time:
         :meth:`~repro.sim.pipeline.StageProfile.from_spans` attributes
         ingestion vs segmentation vs Welch vs decide cost.
         """
@@ -847,7 +721,7 @@ class FleetSimulator:
 
             raw_runs: list[RawStreamRun] = []
             started = time.perf_counter()
-            assembled = drive_streams(
+            drive_streams(
                 config,
                 self.detector,
                 self.segmenter_config,
@@ -859,15 +733,11 @@ class FleetSimulator:
                 stream_seqs,
                 raw_runs.append,
             )
+            wall_seconds = time.perf_counter() - started
             results = [
                 raw.commit()
                 for raw in sorted(raw_runs, key=lambda raw: raw.index)
             ]
-            # Timeline assembly is workload generation (a deployment
-            # receives its audio); it counts as prepare, not
-            # streaming.
-            prepare_seconds += assembled
-            wall_seconds = time.perf_counter() - started - assembled
             report = FleetReport(
                 config=config,
                 sample_rate=rate,

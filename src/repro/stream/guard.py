@@ -1,26 +1,19 @@
 """The online guarded assistant: chunks in, vetoed utterances out.
 
 :class:`StreamingGuard` is the deployment the paper describes — the
-defense sitting *in front of* a live assistant — realised over this
-repository's offline components. It composes the ring buffer
-(:class:`~repro.stream.chunker.ChunkedStream`), the causal gate
-(:class:`~repro.stream.segmenter.OnlineSegmenter`) and the
-incremental extractor
-(:class:`~repro.stream.features.StreamingTraceExtractor`), and
-decides through the *same*
+defense sitting *in front of* a live assistant. It is a
+:class:`~repro.stream.kernel.StreamGroup` of one: each pushed chunk is
+a ``(1, k)`` block, and the group's segmenter, ring, Welch
+accumulation and :func:`~repro.stream.kernel.decide` — the *same*
 :func:`repro.defense.guard.guard_outcome` policy as the offline
-:class:`~repro.defense.guard.GuardedVoiceAssistant`.
+:class:`~repro.defense.guard.GuardedVoiceAssistant` — do the work.
 
 Parity contract: for a given sample sequence forming one utterance,
 the emitted :class:`~repro.defense.guard.GuardedOutcome` — verdict,
 score and features — is bitwise identical to the offline assistant
 processing the same samples as one
 :class:`~repro.dsp.signals.Signal`, for **any** partition of those
-samples into push chunks. The recogniser runs once on the closed
-utterance (DTW is inherently utterance-level); the detector's Welch
-accumulation happens online as chunks arrive, through
-:class:`~repro.stream.features.WelchAccumulator`'s bitwise-matched
-segment walk, so close-time work is only the envelope filters.
+samples into push chunks.
 
 Two gating modes:
 
@@ -30,59 +23,28 @@ Two gating modes:
 * **gateless** (``gated=False``) — the caller delimits utterances
   (:meth:`end_utterance`), which is how the parity suites and the S1
   experiment compare a chunked stream against the offline guard on
-  identical sample spans.
+  identical sample spans. The pushed chunks are buffered and decided
+  at the caller's close; the Welch accumulator walks the whole
+  utterance then.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.defense.detector import InaudibleVoiceDetector
-from repro.defense.features import features_from_analysis
-from repro.defense.guard import GuardedOutcome, guard_outcome
+from repro.defense.guard import GuardedOutcome
 from repro.dsp.signals import Signal, Unit
-from repro.errors import DefenseError, StreamError
+from repro.errors import StreamError
 from repro.speech.recognizer import KeywordRecognizer
-from repro.stream.chunker import ChunkedStream
-from repro.stream.features import StreamingTraceExtractor
-from repro.stream.segmenter import (
-    OnlineSegmenter,
-    SegmenterConfig,
-    UtteranceClosed,
-    UtteranceOpened,
+from repro.stream.features import WelchAccumulator
+from repro.stream.kernel import (
+    StreamGroup,
+    UtteranceOutcome,
+    check_guard,
+    decide,
 )
-
-
-@dataclass(frozen=True)
-class UtteranceOutcome:
-    """One gated utterance's verdict, with its stream bookkeeping.
-
-    Attributes
-    ----------
-    outcome:
-        The guard's decision, shaped exactly like the offline
-        assistant's.
-    start_sample, end_sample:
-        Absolute utterance boundaries in the stream.
-    emitted_at_sample:
-        Stream head when the verdict was emitted. The gap to
-        ``end_sample`` is the detection latency in *stream time* —
-        deterministic for a given chunking, unlike wall clock.
-    forced:
-        Whether the segmenter force-closed at ``max_utterance_s``.
-    """
-
-    outcome: GuardedOutcome
-    start_sample: int
-    end_sample: int
-    emitted_at_sample: int
-    forced: bool
-
-    def latency_s(self, sample_rate: float) -> float:
-        """Detection latency in stream seconds (audio time)."""
-        return (self.emitted_at_sample - self.end_sample) / sample_rate
+from repro.stream.segmenter import SegmenterConfig
 
 
 class StreamingGuard:
@@ -115,68 +77,42 @@ class StreamingGuard:
         gated: bool = True,
         segmenter_config: SegmenterConfig | None = None,
     ) -> None:
-        if not recognizer.commands:
-            raise DefenseError(
-                "the recogniser has no enrolled commands; enroll "
-                "before installing the guard"
-            )
-        if sample_rate < 8000.0:
+        check_guard(recognizer, sample_rate)
+        if not gated and segmenter_config is not None:
             raise StreamError(
-                "the guard needs at least an 8 kHz stream, got "
-                f"{sample_rate} Hz"
+                "segmenter_config is meaningless with gated=False"
             )
         self.recognizer = recognizer
         self.detector = detector
         self.sample_rate = float(sample_rate)
         self.unit = unit
         self.gated = bool(gated)
-        self._extractor: StreamingTraceExtractor | None = None
         if self.gated:
-            config = segmenter_config or SegmenterConfig()
-            self._stream = ChunkedStream(
-                sample_rate,
-                config.frame_length_s,
-                config.hop_length_s,
+            self._group = StreamGroup(
+                detector,
+                segmenter_config,
+                [0],
+                self.sample_rate,
+                recognizer,
+                [unit],
             )
-            self._segmenter = OnlineSegmenter(sample_rate, config)
-            self._fed = 0
-        elif segmenter_config is not None:
-            raise StreamError(
-                "segmenter_config is meaningless with gated=False"
-            )
-
-    # -- gated mode ----------------------------------------------------
+        else:
+            self._chunks: list[np.ndarray] = []
 
     def push(self, chunk: np.ndarray) -> list[UtteranceOutcome]:
         """Feed a chunk; returns the utterances it closed (gated), or
         an empty list (gateless — call :meth:`end_utterance`)."""
+        samples = np.asarray(chunk, dtype=np.float64)
+        if samples.ndim != 1:
+            raise StreamError(
+                f"push expects a 1-D chunk, got shape {samples.shape}"
+            )
         if not self.gated:
-            self._feed_gateless(chunk)
+            self._chunks.append(samples.copy())
             return []
-        head = self._stream.push(chunk)
-        first, energies = self._stream.pending_frame_energies()
-        events = self._segmenter.process(first, energies)
-        outcomes: list[UtteranceOutcome] = []
-        for event in events:
-            if isinstance(event, UtteranceOpened):
-                self._extractor = StreamingTraceExtractor(
-                    self.sample_rate, self.unit
-                )
-                self._fed = event.start_sample
-            elif isinstance(event, UtteranceClosed):
-                outcomes.append(self._close(event, head))
-        if self._segmenter.in_utterance:
-            # Spread the Welch work across pushes: feed everything
-            # buffered, commit the segmenter's proven lower bound.
-            if self._fed < head:
-                start = self._segmenter.utterance_start
-                self._extractor.feed(self._stream.read(self._fed, head))
-                self._fed = head
-                self._extractor.commit(
-                    self._segmenter.commit_bound(head) - start
-                )
-        self._release(head)
-        return outcomes
+        return self._group.push(
+            samples[np.newaxis, :], (samples.shape[0],)
+        )[0]
 
     def flush(self) -> list[UtteranceOutcome]:
         """End of stream: close and decide any open utterance."""
@@ -185,53 +121,7 @@ class StreamingGuard:
                 "flush() is for gated streams; gateless callers use "
                 "end_utterance()"
             )
-        head = self._stream.head
-        event = self._segmenter.flush(head)
-        outcomes = []
-        if event is not None:
-            outcomes.append(self._close(event, head))
-        self._release(head)
-        return outcomes
-
-    def _close(
-        self, event: UtteranceClosed, head: int
-    ) -> UtteranceOutcome:
-        end = min(event.end_sample, head)
-        if self._fed < end:
-            self._extractor.feed(self._stream.read(self._fed, end))
-            self._fed = end
-        extractor = self._extractor
-        self._extractor = None
-        outcome = self._decide(extractor, end - event.start_sample)
-        return UtteranceOutcome(
-            outcome=outcome,
-            start_sample=event.start_sample,
-            end_sample=end,
-            emitted_at_sample=head,
-            forced=event.forced,
-        )
-
-    def _release(self, head: int) -> None:
-        next_frame_start = self._stream.frames_emitted * self._stream.hop
-        if self._segmenter.in_utterance:
-            keep_from = min(next_frame_start, self._fed)
-        else:
-            keep_from = min(
-                next_frame_start, self._segmenter.lookback_sample()
-            )
-        self._stream.release(max(self._stream.tail, keep_from))
-
-    # -- gateless mode -------------------------------------------------
-
-    def _feed_gateless(self, chunk: np.ndarray) -> None:
-        if self._extractor is None:
-            self._extractor = StreamingTraceExtractor(
-                self.sample_rate, self.unit
-            )
-        self._extractor.feed(chunk)
-        # Caller-delimited utterances: everything pushed so far is in
-        # the utterance, so the Welch accumulation may run eagerly.
-        self._extractor.commit(self._extractor.n_fed)
+        return self._group.flush()[0]
 
     def end_utterance(self) -> GuardedOutcome:
         """Close the caller-delimited utterance and decide it.
@@ -244,32 +134,19 @@ class StreamingGuard:
                 "end_utterance() is for gateless streams; gated "
                 "streams close through their segmenter (or flush())"
             )
-        if self._extractor is None or self._extractor.n_fed == 0:
+        samples = np.concatenate(self._chunks) if self._chunks else None
+        self._chunks = []
+        if samples is None or samples.shape[0] == 0:
             raise StreamError(
                 "no samples pushed since the last utterance"
             )
-        extractor = self._extractor
-        self._extractor = None
-        return self._decide(extractor, extractor.n_fed)
-
-    # -- the shared decision path -------------------------------------
-
-    def _decide(
-        self, extractor: StreamingTraceExtractor, length: int
-    ) -> GuardedOutcome:
-        recording = Signal(
-            extractor.waveform(length), self.sample_rate, self.unit
-        )
-        recognition = self.recognizer.recognize(recording)
-
-        def detect():
-            vector = features_from_analysis(
-                extractor.finalize(length),
-                subset=self.detector.feature_subset,
-            )
-            return self.detector.classify_features(vector)
-
-        return guard_outcome(recognition, detect)
+        welch = WelchAccumulator(self.sample_rate)
+        return decide(
+            self.recognizer,
+            self.detector,
+            self.sample_rate,
+            [(samples, welch, self.unit)],
+        )[0]
 
     def process_recording(
         self, recording: Signal, chunk_samples: int

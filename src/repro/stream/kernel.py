@@ -1,53 +1,52 @@
-"""Structure-of-arrays fleet kernel: one group of streams per loop.
+"""The streaming guard's one implementation: a group of streams per loop.
 
-:func:`~repro.stream.fleet.drive_stream` advances one device through
-its timeline with per-chunk Python work — ring push, frame energies,
-segmenter branches, Welch segments — repeated for every stream. At
-fleet scale that per-stream interpreter overhead dominates: the
-arithmetic is identical across streams, only the data differs. This
-module is the RVH/Harmonia-shaped rewrite of that hot loop: a whole
-*group* of streams (:class:`StreamGroup`) advances in lockstep, and
-each cycle's work runs as ``(n_streams, ...)`` NumPy ops —
+A whole *group* of device streams (:class:`StreamGroup`) advances in
+lockstep, and each cycle's work runs as ``(n_streams, ...)`` NumPy ops
+— the RVH/Harmonia shape of online classification, where the per-chunk
+arithmetic is identical across streams and only the data differs:
 
 * chunk ingestion is one 2-D write into a shared ring
   (:class:`~repro.stream.chunker.ChunkedStreamBatch`) and one
   ``frame_rms_matrix`` reduction;
-* the segmenter state machine advances all rows per frame with masked
-  vector ops (:class:`~repro.stream.segmenter.OnlineSegmenterBatch`);
+* the segmenter state machine advances all rows per frame
+  (:class:`~repro.stream.segmenter.OnlineSegmenterBatch`; narrow
+  groups take its per-frame Python-float path);
 * Welch accumulation gathers every *due* segment across every open
   utterance into one stack and runs a single batched FFT
   (:func:`~repro.stream.features.welch_segment_psd`), folding rows
   back per accumulator in order;
-* at group end, recognition batches all closed utterances through the
-  anti-diagonal DTW slab
+* every utterance that closed in the cycle is decided before
+  :meth:`StreamGroup.push` returns (:func:`decide`): recognition
+  batches the closes through the anti-diagonal DTW slab
   (:meth:`~repro.speech.recognizer.KeywordRecognizer.recognize_many`)
   and detection batches the trace analyses by utterance length.
 
 The group is push-based, the way a device microphone delivers audio:
 :meth:`StreamGroup.push` takes one ``(n_streams, k)`` block per cycle
-and :meth:`StreamGroup.flush` ends the streams. No stream's whole
-timeline is ever assembled — the RVH model of online classification,
-whose state is bounded by what it must remember (open utterances, a
-lookback, closed utterances awaiting the decide phase), not by how
-much input has gone past. :func:`drive_stream_group` is the fleet's
-caller: it draws each cycle's block from the streams'
+and returns the verdicts of the utterances it closed;
+:meth:`StreamGroup.flush` ends the streams and decides the utterances
+still open. The group holds only what it must remember — each row's
+open utterance and lookback — not how much input has gone past or how
+many utterances it has decided. The always-on
+:class:`~repro.stream.guard.StreamingGuard` is a group of one, and
+:func:`drive_stream_group` is the fleet's caller: it draws each
+cycle's block from the streams'
 :class:`~repro.stream.fleet.TimelineSource` objects on demand.
 
-Per-stream *scalar* work survives only at boundary events — an
-utterance closing (its samples are copied out and its Welch tail
-segments finish in the scalar accumulator) and ring growth — exactly
-the cheap-fast-path / expensive-rare-boundary split the online
-classification literature prescribes.
+Per-stream scalar work survives only at boundary events — an utterance
+closing (its samples are copied out and its Welch tail segments finish
+in its accumulator) and ring growth — the cheap-fast-path /
+expensive-rare-boundary split the online classification literature
+prescribes.
 
-The contract is the fleet's usual one, extended: every per-stream
-digest is **bitwise identical** to :func:`drive_stream`'s for any
-grouping of streams into kernel batches. Each vectorised stage is
-row-wise bitwise equal to its scalar counterpart (batched FFT rows,
-matrix frame RMS, elementwise float64 state updates, band-masked DTW
-slabs), rows never exchange information, and the lockstep padding
-of rows that have ended is masked out of every decision — the
-kernel digest property in ``tests/stream/test_stream_kernel.py``
-pins this over arbitrary stream counts and groupings.
+Every per-utterance outcome is bitwise the offline
+:class:`~repro.defense.guard.GuardedVoiceAssistant`'s on the same
+samples, and every per-stream digest is the same for any grouping of
+streams: each vectorised stage is row-wise bitwise its one-row
+counterpart (batched FFT rows, matrix frame RMS, elementwise float64
+state updates, band-masked DTW slabs), rows never exchange
+information, and the lockstep padding of rows that have ended is
+masked out of every decision.
 
 The kernel reports its timing through trace spans only: with no
 tracer active it records nothing, and under one each stage window is
@@ -60,12 +59,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.defense.detector import InaudibleVoiceDetector
 from repro.defense.features import features_from_analysis
-from repro.defense.guard import guard_outcome
+from repro.defense.guard import GuardedOutcome, guard_outcome
 from repro.defense.traces import analyses_from_psd
 from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import DefenseError, StreamError
@@ -78,7 +78,6 @@ from repro.stream.fleet import (
     RawStreamRun,
     TimelineSource,
 )
-from repro.stream.guard import UtteranceOutcome
 from repro.stream.segmenter import (
     BatchClosed,
     BatchOpened,
@@ -86,17 +85,119 @@ from repro.stream.segmenter import (
     SegmenterConfig,
 )
 
-@dataclass
-class _Pending:
-    """One closed utterance awaiting the batched decide phase."""
 
+@dataclass(frozen=True)
+class UtteranceOutcome:
+    """One gated utterance's verdict, with its stream bookkeeping.
+
+    Attributes
+    ----------
+    outcome:
+        The guard's decision, shaped exactly like the offline
+        assistant's.
+    start_sample, end_sample:
+        Absolute utterance boundaries in the stream.
+    emitted_at_sample:
+        Stream head when the verdict was emitted. The gap to
+        ``end_sample`` is the detection latency in *stream time* —
+        deterministic for a given chunking, unlike wall clock.
+    forced:
+        Whether the segmenter force-closed at ``max_utterance_s``.
+    """
+
+    outcome: GuardedOutcome
+    start_sample: int
+    end_sample: int
+    emitted_at_sample: int
+    forced: bool
+
+    def latency_s(self, sample_rate: float) -> float:
+        """Detection latency in stream seconds (audio time)."""
+        return (self.emitted_at_sample - self.end_sample) / sample_rate
+
+
+def check_guard(recognizer: KeywordRecognizer, rate: float) -> None:
+    """Reject a guard that could never decide: no enrolled commands,
+    or a stream too slow for the trace analysis."""
+    if not recognizer.commands:
+        raise DefenseError(
+            "the recogniser has no enrolled commands; enroll "
+            "before installing the guard"
+        )
+    if rate < 8000.0:
+        raise StreamError(
+            "the guard needs at least an 8 kHz stream, got "
+            f"{rate} Hz"
+        )
+
+
+def decide(
+    recognizer: KeywordRecognizer,
+    detector: InaudibleVoiceDetector,
+    rate: float,
+    closed: list[tuple[np.ndarray, WelchAccumulator, str]],
+    stage: Callable[[str, float], float] | None = None,
+) -> list[GuardedOutcome]:
+    """Decide closed utterances, each given as ``(samples, welch,
+    unit)``: one recognition slab, then one detect pass per
+    utterance length over the accepted ones.
+
+    The detector is consulted only when recognition accepts
+    (:func:`~repro.defense.guard.guard_outcome`'s laziness); the Welch
+    estimate of a rejected utterance is never finished. ``stage``, if
+    given, closes the ``recognize`` and ``detect`` windows.
+    """
+    started = time.perf_counter()
+    recognitions = (
+        recognizer.recognize_many(
+            [Signal(samples, rate, unit) for samples, _, unit in closed]
+        )
+        if closed
+        else []
+    )
+    if stage is not None:
+        stage("recognize", started)
+
+    started = time.perf_counter()
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, (samples, _, unit) in enumerate(closed):
+        if recognitions[i].accepted:
+            groups.setdefault((samples.shape[0], unit), []).append(i)
+    detections = {}
+    for (length, unit), members in groups.items():
+        finalized = [
+            closed[i][1].finalize(closed[i][0], length) for i in members
+        ]
+        analyses = analyses_from_psd(
+            SignalBatch(
+                np.stack([closed[i][0] for i in members]), rate, unit
+            ),
+            finalized[0][0],
+            np.concatenate([psd for _, psd in finalized], axis=0),
+        )
+        for i, analysis in zip(members, analyses):
+            vector = features_from_analysis(
+                analysis, subset=detector.feature_subset
+            )
+            detections[i] = detector.classify_features(vector)
+    if stage is not None:
+        stage("detect", started)
+    return [
+        guard_outcome(recognition, lambda i=i: detections[i])
+        for i, recognition in enumerate(recognitions)
+    ]
+
+
+@dataclass
+class _Close:
+    """One utterance closed this cycle, awaiting its verdict."""
+
+    row: int
     start: int
     end: int
-    emitted_at: int
     forced: bool
     samples: np.ndarray
     welch: WelchAccumulator
-    unit: str
 
 
 class StreamGroup:
@@ -104,12 +205,12 @@ class StreamGroup:
     ``(n_streams, k)`` block per cycle.
 
     Push-based, like a device microphone: :meth:`push` runs one
-    cycle (ingest, segment, close, Welch, release) over the block
-    it is handed, and :meth:`flush` ends every stream (closing still
-    open utterances, then the batched recognition and detection). The
-    group holds only what it must remember — each row's open
-    utterance, its lookback and its closed utterances — never a
-    row's audio history.
+    cycle (ingest, segment, close, Welch, release, decide) over the
+    block it is handed and returns the verdicts of the utterances
+    that closed, and :meth:`flush` ends every stream (closing and
+    deciding still open utterances). The group holds only what it
+    must remember — each row's open utterance and its lookback —
+    never a row's audio history or its past utterances.
 
     Rows end independently. The caller says how many leading samples
     of each row's block are real; the rest is padding (any finite
@@ -137,16 +238,7 @@ class StreamGroup:
                 "group indices and units must be parallel, got "
                 f"lengths {len(indices)}/{len(units)}"
             )
-        if not recognizer.commands:
-            raise DefenseError(
-                "the recogniser has no enrolled commands; enroll "
-                "before installing the guard"
-            )
-        if rate < 8000.0:
-            raise StreamError(
-                "the guard needs at least an 8 kHz stream, got "
-                f"{rate} Hz"
-            )
+        check_guard(recognizer, rate)
         self.detector = detector
         self.recognizer = recognizer
         self.rate = rate
@@ -170,8 +262,10 @@ class StreamGroup:
         self._segmenter = OnlineSegmenterBatch(n_group, rate, seg_cfg)
         #: Real samples seen per row so far — the row's own head.
         self.lengths = np.zeros(n_group, dtype=np.int64)
+        #: Whether any row has ended: until then every row's length is
+        #: the ring head, and every new frame is real.
+        self._ragged = False
         self._open_welch: list[WelchAccumulator | None] = [None] * n_group
-        self._pending: list[list[_Pending]] = [[] for _ in range(n_group)]
 
     def stage(self, name: str, started: float) -> float:
         """Close one stage window opened at ``started``; returns its
@@ -183,24 +277,28 @@ class StreamGroup:
             )
         return ended - started
 
-    def push(self, block: np.ndarray, real: np.ndarray) -> None:
+    def push(
+        self, block: np.ndarray, real: np.ndarray
+    ) -> list[list[UtteranceOutcome]]:
         """One lockstep cycle over ``block`` (``(n_streams, k)``).
 
         ``real[b]`` is the number of leading samples of row ``b`` that
-        are audio; a row with fewer than ``k`` has ended.
+        are audio; a row with fewer than ``k`` has ended. Returns, per
+        row in stream order, the verdicts of the utterances this
+        cycle closed.
         """
         ring, segmenter = self._ring, self._segmenter
         real = np.asarray(real, dtype=np.int64)
         k = block.shape[-1]
-        if real.shape != self.lengths.shape or np.any(
-            (real < 0) | (real > k)
-        ):
+        counts = real.tolist() if real.shape == self.lengths.shape else None
+        if counts is None or not 0 <= min(counts) <= max(counts) <= k:
             raise StreamError(
                 f"real sample counts must be {self.lengths.shape[0]} "
                 f"values in [0, {k}], got {real}"
             )
-        if np.any((self.lengths < ring.head) & (real > 0)):
+        if self._ragged and np.any((self.lengths < ring.head) & (real > 0)):
             raise StreamError("a stream that ended cannot resume")
+        self._ragged = self._ragged or min(counts) < k
 
         # -- ingest: one lockstep push, one matrix frame-RMS --------
         started = time.perf_counter()
@@ -210,14 +308,18 @@ class StreamGroup:
         first, energies = ring.pending_frame_energies()
         self.stage("ingest", started)
 
-        # -- segment: vectorised state machine over the new frames --
+        # -- segment: the state machine over the new frames ----------
         started = time.perf_counter()
         n_new = energies.shape[1]
         if n_new:
-            # frame_count per row: complete frames in its real samples.
-            n_frames = (heads - ring.frame_len) // ring.hop + 1
-            frame_idx = first + np.arange(n_new)
-            valid = frame_idx[np.newaxis, :] < n_frames[:, np.newaxis]
+            if self._ragged:
+                # frame_count per row: complete frames in its real
+                # samples.
+                n_frames = (heads - ring.frame_len) // ring.hop + 1
+                frame_idx = first + np.arange(n_new)
+                valid = frame_idx[np.newaxis, :] < n_frames[:, np.newaxis]
+            else:
+                valid = np.ones(energies.shape, dtype=bool)
             events = segmenter.process_block(first, energies, valid)
         else:
             events = []
@@ -225,185 +327,139 @@ class StreamGroup:
 
         # -- boundary events: the per-stream scalar fallback ---------
         started = time.perf_counter()
+        closes: list[_Close] = []
         for event in events:
             if isinstance(event, BatchOpened):
-                for row in event.rows:
-                    self._open_welch[int(row)] = WelchAccumulator(
-                        self.rate
-                    )
+                for row in event.rows.tolist():
+                    self._open_welch[row] = WelchAccumulator(self.rate)
             elif isinstance(event, BatchClosed):
-                for row, start, end_u, forced in zip(
-                    event.rows,
-                    event.start_samples,
-                    event.end_samples,
-                    event.forced,
+                for row, start, end, forced in zip(
+                    event.rows.tolist(),
+                    event.start_samples.tolist(),
+                    event.end_samples.tolist(),
+                    event.forced.tolist(),
                 ):
-                    row, start = int(row), int(start)
-                    end = min(int(end_u), int(heads[row]))
-                    self._close(row, start, end, bool(forced))
+                    end = min(end, int(heads[row]))
+                    closes.append(self._close(row, start, end, forced))
         self.stage("close", started)
 
         # -- welch: every due segment of the cycle in one FFT --------
         started = time.perf_counter()
-        open_mask = segmenter.in_utterance
-        if open_mask.any():
-            bounds = segmenter.commit_bounds(heads)
-            starts = segmenter.utterance_starts
-            gather_rows: list[int] = []
-            gather_starts: list[int] = []
-            owners: list[WelchAccumulator] = []
-            for row in np.flatnonzero(open_mask):
-                welch = self._open_welch[row]
-                start = int(starts[row])
-                committed = int(bounds[row]) - start
-                for rel in welch.due_starts(committed):
-                    gather_rows.append(int(row))
-                    gather_starts.append(start + rel)
-                    owners.append(welch)
-            if owners:
-                slab = ring.gather_rows(
-                    np.asarray(gather_rows),
-                    np.asarray(gather_starts),
-                    owners[0].segment_length,
-                )
-                psd_rows = welch_segment_psd(
-                    slab, owners[0].window_values, owners[0].scale
-                )
-                for welch, psd_row in zip(owners, psd_rows):
-                    welch.fold(psd_row)
+        # Ring history to keep: the frame grid, the lookback of rows
+        # still streaming, and every open utterance from its start.
+        keep = min(
+            ring.frames_emitted * ring.hop, segmenter.lookback_sample()
+        )
+        gather_rows: list[int] = []
+        gather_starts: list[int] = []
+        owners: list[WelchAccumulator] = []
+        for row, start, bound in segmenter.open_spans(heads):
+            keep = min(keep, start)
+            welch = self._open_welch[row]
+            for rel in welch.due_starts(bound - start):
+                gather_rows.append(row)
+                gather_starts.append(start + rel)
+                owners.append(welch)
+        if owners:
+            slab = ring.gather_rows(
+                gather_rows, gather_starts, owners[0].segment_length
+            )
+            psd_rows = welch_segment_psd(
+                slab, owners[0].window_values, owners[0].scale
+            )
+            for welch, psd_row in zip(owners, psd_rows):
+                welch.fold(psd_row)
         self.stage("welch", started)
 
-        # -- release: retain open starts, the frame grid, lookback ---
-        next_frame_start = ring.frames_emitted * ring.hop
-        per_row_keep = np.where(
-            open_mask,
-            segmenter.utterance_starts,
-            segmenter.lookback_samples(),
-        )
-        keep = min(next_frame_start, int(per_row_keep.min()))
-        ring.release(max(ring.tail, keep))
+        ring.release(keep)
+
+        if not closes:
+            return [[] for _ in self.indices]
+        return self._decide(closes)
 
     def _close(
         self, row: int, start: int, end: int, forced: bool
-    ) -> None:
+    ) -> _Close:
         welch = self._open_welch[row]
         self._open_welch[row] = None
-        self._pending[row].append(
-            _Pending(
-                start=start,
-                end=end,
-                emitted_at=int(self.lengths[row]),
-                forced=forced,
-                samples=self._ring.read_row(row, start, end),
-                welch=welch,
-                unit=self.units[row],
-            )
+        return _Close(
+            row=row,
+            start=start,
+            end=end,
+            forced=forced,
+            samples=self._ring.read_row(row, start, end),
+            welch=welch,
         )
 
-    def flush(self) -> list[list[UtteranceOutcome]]:
-        """End every stream: close still-open rows at their own ends,
-        then recognise, detect and fold the outcomes, per row in
-        stream order."""
-        rate = self.rate
-        n_group = len(self.indices)
-
-        # -- flush: close still-open rows at their own stream ends ---
-        started = time.perf_counter()
-        flush_event = self._segmenter.flush_open_rows(self.lengths)
-        if flush_event is not None:
-            for row, start, end in zip(
-                flush_event.rows,
-                flush_event.start_samples,
-                flush_event.end_samples,
-            ):
-                self._close(int(row), int(start), int(end), False)
-        self.stage("close", started)
-
-        # -- recognize: all closed utterances through the DTW slab ---
-        started = time.perf_counter()
-        flat = [
-            (row, p) for row in range(n_group) for p in self._pending[row]
-        ]
-        recognitions = self.recognizer.recognize_many(
-            [Signal(p.samples, rate, p.unit) for _, p in flat]
+    def _decide(
+        self, closes: list[_Close]
+    ) -> list[list[UtteranceOutcome]]:
+        """Verdicts for ``closes``, per row in close order; each is
+        emitted at its row's current length."""
+        decided = decide(
+            self.recognizer,
+            self.detector,
+            self.rate,
+            [(c.samples, c.welch, self.units[c.row]) for c in closes],
+            self.stage,
         )
-        self.stage("recognize", started)
-
-        # -- detect: batched trace analyses for *accepted* utterances
-        # The guard consults the detector only when recognition
-        # accepts (guard_outcome's laziness); computing the PSD of a
-        # rejected utterance could even raise where the scalar path
-        # would not.
-        started = time.perf_counter()
-        accepted = [
-            i for i, result in enumerate(recognitions) if result.accepted
+        outcomes: list[list[UtteranceOutcome]] = [
+            [] for _ in self.indices
         ]
-        finalized = {}
-        for i in accepted:
-            p = flat[i][1]
-            finalized[i] = p.welch.finalize(p.samples, p.samples.shape[0])
-        groups: dict[tuple[int, str], list[int]] = {}
-        for i in accepted:
-            p = flat[i][1]
-            groups.setdefault((p.samples.shape[0], p.unit), []).append(i)
-        detections = {}
-        for (_, unit), members in groups.items():
-            stack = np.stack([flat[i][1].samples for i in members])
-            freqs = finalized[members[0]][0]
-            psd = np.concatenate(
-                [finalized[i][1] for i in members], axis=0
-            )
-            analyses = analyses_from_psd(
-                SignalBatch(stack, rate, unit), freqs, psd
-            )
-            for i, analysis in zip(members, analyses):
-                vector = features_from_analysis(
-                    analysis, subset=self.detector.feature_subset
-                )
-                detections[i] = self.detector.classify_features(vector)
-        self.stage("detect", started)
-
-        outcomes: list[list[UtteranceOutcome]] = [[] for _ in range(n_group)]
-        for i, (row, p) in enumerate(flat):
-            detection = detections.get(i)
-            outcome = guard_outcome(
-                recognitions[i], lambda detection=detection: detection
-            )
-            outcomes[row].append(
+        for c, outcome in zip(closes, decided):
+            outcomes[c.row].append(
                 UtteranceOutcome(
                     outcome=outcome,
-                    start_sample=p.start,
-                    end_sample=p.end,
-                    emitted_at_sample=p.emitted_at,
-                    forced=p.forced,
+                    start_sample=c.start,
+                    end_sample=c.end,
+                    emitted_at_sample=int(self.lengths[c.row]),
+                    forced=c.forced,
                 )
             )
-
         tracer = self._tracer
         if tracer is not None:
-            group_ended = time.perf_counter()
             # Utterance spans are decision *markers*: zero wall width
             # at the decide instant, with the stream-time latency (and
             # the stream that produced them) in the attributes — that
             # is what the reporter's percentile section reads.
-            for i, (row, p) in enumerate(flat):
+            decided_at = time.perf_counter()
+            for c, outcome in zip(closes, decided):
                 tracer.record(
                     "utterance",
-                    group_ended,
-                    group_ended,
+                    decided_at,
+                    decided_at,
                     parent_id=self._group_id,
-                    stream=self.indices[row],
-                    latency_s=(p.emitted_at - p.end) / rate,
-                    accepted=bool(recognitions[i].accepted),
-                    forced=p.forced,
+                    stream=self.indices[c.row],
+                    latency_s=(int(self.lengths[c.row]) - c.end)
+                    / self.rate,
+                    accepted=bool(outcome.recognition.accepted),
+                    forced=c.forced,
                 )
-            tracer.record(
+        return outcomes
+
+    def flush(self) -> list[list[UtteranceOutcome]]:
+        """End every stream: close still-open rows at their own ends
+        and decide them, per row in stream order."""
+        started = time.perf_counter()
+        closes: list[_Close] = []
+        flush_event = self._segmenter.flush_open_rows(self.lengths)
+        if flush_event is not None:
+            for row, start, end in zip(
+                flush_event.rows.tolist(),
+                flush_event.start_samples.tolist(),
+                flush_event.end_samples.tolist(),
+            ):
+                closes.append(self._close(row, start, end, False))
+        self.stage("close", started)
+        outcomes = self._decide(closes)
+        if self._tracer is not None:
+            self._tracer.record(
                 "stream-group",
                 self._group_started,
-                group_ended,
+                time.perf_counter(),
                 parent_id=self._group_parent,
                 span_id=self._group_id,
-                streams=n_group,
+                streams=len(self.indices),
             )
         return outcomes
 
@@ -419,19 +475,17 @@ def drive_stream_group(
     attack_by_stream: list[np.ndarray],
     seed_seqs: list[np.random.SeedSequence],
 ) -> tuple[list[RawStreamRun], float]:
-    """Drive a group of streams in lockstep; per-stream results are
-    bitwise :func:`~repro.stream.fleet.drive_stream`'s.
+    """Drive a group of streams in lockstep through their timelines.
 
-    Parameters mirror ``drive_stream`` with the stream axis pluralised:
     ``indices`` are the global stream indices of the group, and entry
     ``b`` of the per-stream lists is that stream's utterance
     recordings, slot attack flags and seed sequence.
 
-    The whole-timeline caller of :class:`StreamGroup`: each cycle
-    draws one ``(n_streams, chunk)`` block from the streams'
-    :class:`~repro.stream.fleet.TimelineSource` objects and pushes
-    it, so the group's working set is one block plus what the group
-    must remember, whatever the timelines' length.
+    Each cycle draws one ``(n_streams, chunk)`` block from the
+    streams' :class:`~repro.stream.fleet.TimelineSource` objects and
+    pushes it, collecting the verdicts as utterances close, so the
+    group's working set is one block plus what the group must
+    remember, whatever the timelines' length or utterance count.
 
     Under an ambient tracer every stage window (``assemble`` — each
     cycle's draw —, ``ingest``, ``segment``, ``close``, ``welch``,
@@ -441,10 +495,8 @@ def drive_stream_group(
     the per-stage breakdown.
 
     Returns ``(runs, assemble_seconds)`` — the second element is the
-    summed wall time of the ``assemble`` windows, which the fleet
-    accounts as *prepare* (workload generation), not streaming wall:
-    a deployment receives its audio, it does not draw it from a
-    generator.
+    summed wall time of the ``assemble`` windows, the share of the
+    group's wall spent generating its workload.
     """
     n_group = len(indices)
     if not (
@@ -476,6 +528,7 @@ def drive_stream_group(
     chunk = max(1, int(round(config.chunk_s * rate)))
     block = np.zeros((n_group, chunk), dtype=np.float64)
     real = np.zeros(n_group, dtype=np.int64)
+    outcomes: list[list[UtteranceOutcome]] = [[] for _ in range(n_group)]
     assemble_seconds = group.stage("assemble", started)
     for head in range(0, max_len, chunk):
         started = time.perf_counter()
@@ -485,8 +538,10 @@ def drive_stream_group(
             # the group never reads past a row's real samples.
             real[b] = source.read_into(cycle[b])
         assemble_seconds += group.stage("assemble", started)
-        group.push(cycle, real)
-    outcomes = group.flush()
+        for b, closed in enumerate(group.push(cycle, real)):
+            outcomes[b].extend(closed)
+    for b, closed in enumerate(group.flush()):
+        outcomes[b].extend(closed)
     return [
         RawStreamRun(
             index=int(indices[b]),

@@ -8,10 +8,10 @@ above it, borrowing the NSO concurrency-model playbook (SNIPPETS.md
 * **Independent shards.** The fleet's streams are partitioned into
   per-process shards (:func:`plan_shards`); each shard synthesises
   its own slice of utterance recordings through the batched trial
-  pipeline and runs the *same* stream loop
-  (:func:`~repro.stream.fleet.drive_stream`) over its partition.
+  pipeline and runs the *same* dispatcher
+  (:func:`~repro.stream.fleet.drive_streams`) over its partition.
   Nothing coordinates on the hot path — per-stream state lives in the
-  stream's own guard, the recogniser/detector are shard-local copies,
+  stream's own group rows, the recogniser/detector are shard-local copies,
   and the multi-MB emissions come from the engine's per-process cache
   (:mod:`repro.sim.engine`), built once per shard process however
   many tasks it executes.
@@ -250,7 +250,7 @@ def _run_shard_body(task: ShardTask) -> ShardResult:
     commits = CommitQueue(lambda raw: raw.commit())
 
     started = time.perf_counter()
-    assembled = drive_streams(
+    drive_streams(
         config,
         task.detector,
         task.segmenter_config,
@@ -262,15 +262,13 @@ def _run_shard_body(task: ShardTask) -> ShardResult:
         task.stream_seqs,
         commits.put,
     )
+    wall_seconds = time.perf_counter() - started
     streams = sorted(commits.close(), key=lambda s: s.index)
-    # Timeline assembly is workload generation, accounted as prepare
-    # (same split as the unsharded simulator).
-    wall_seconds = time.perf_counter() - started - assembled
     return ShardResult(
         shard_index=task.shard_index,
         sample_rate=rate,
         streams=streams,
-        prepare_seconds=prepare_seconds + assembled,
+        prepare_seconds=prepare_seconds,
         wall_seconds=wall_seconds,
     )
 

@@ -7,9 +7,11 @@ The streaming guard's parity rests on two layers pinned here:
   arrival pattern and any commit schedule, on both sides of the
   one-segment boundary (incremental accumulation vs the padded-FFT
   fallback);
-* :class:`StreamingTraceExtractor` reproduces
+* the close-time analysis — the accumulator's PSD through
+  :func:`~repro.defense.traces.analyses_from_psd`, as the stream
+  group's decide phase runs it — reproduces
   :func:`~repro.defense.traces.analyze_traces` bitwise, including
-  when the utterance end retroactively trims fed samples.
+  when the utterance end retroactively trims buffered samples.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import chunk_partitions
-from repro.defense.traces import analyze_traces
-from repro.dsp.signals import Signal
+from repro.defense.traces import analyses_from_psd, analyze_traces
+from repro.dsp.signals import Signal, SignalBatch
 from repro.dsp.spectrum import welch_psd_matrix
 from repro.errors import StreamError
-from repro.stream.features import (
-    StreamingTraceExtractor,
-    WelchAccumulator,
-)
+from repro.stream.features import WelchAccumulator
 
 
 def _wave(n: int, seed: int) -> np.ndarray:
@@ -112,7 +111,19 @@ class TestWelchAccumulator:
             acc.finalize(np.zeros(10), 0)
 
 
-class TestStreamingTraceExtractor:
+def _close_analysis(wave, rate, commits, length):
+    """The close-time trace analysis as the stream group computes it:
+    Welch segments committed at each bound in ``commits``, the tail
+    finished at close, then the shared band/envelope arithmetic."""
+    welch = WelchAccumulator(rate)
+    for bound in commits:
+        welch.advance(wave, bound)
+    freqs, psd = welch.finalize(wave, length)
+    batch = SignalBatch(wave[np.newaxis, :length], rate)
+    return analyses_from_psd(batch, freqs, psd)[0]
+
+
+class TestCloseAnalysis:
     @given(
         n=st.integers(min_value=4000, max_value=20000),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -124,56 +135,21 @@ class TestStreamingTraceExtractor:
         rate = 16000.0
         wave = _wave(n, seed)
         partition = data.draw(chunk_partitions(n, max_parts=6))
-        extractor = StreamingTraceExtractor(rate)
-        cursor = 0
-        for size in partition:
-            extractor.feed(wave[cursor : cursor + size])
-            cursor += size
-            extractor.commit(cursor)
-        online = extractor.finalize()
+        commits = np.cumsum(partition).tolist()
+        online = _close_analysis(wave, rate, commits, n)
         offline = analyze_traces(Signal(wave, rate))
         assert online == offline
 
     def test_retroactive_trim_matches_offline(self):
-        """Samples fed past the close boundary are trimmed bitwise."""
+        """Samples buffered past the close boundary are trimmed
+        bitwise: only the committed lower bound was accumulated."""
         rate = 16000.0
         wave = _wave(18000, 11)
         length = 12500
-        extractor = StreamingTraceExtractor(rate)
-        extractor.feed(wave[:9000])
-        extractor.commit(9000)
-        extractor.feed(wave[9000:])  # runs past the eventual end
-        extractor.commit(length)
-        online = extractor.finalize(length)
+        online = _close_analysis(wave, rate, [9000, length], length)
         offline = analyze_traces(Signal(wave[:length], rate))
         assert online == offline
 
     def test_commit_overrun_is_caught(self):
-        extractor = StreamingTraceExtractor(16000.0)
-        extractor.feed(_wave(18000, 12))
-        extractor.commit(18000)
         with pytest.raises(StreamError):
-            extractor.finalize(9000)  # below committed
-
-    def test_extractor_is_single_use(self):
-        extractor = StreamingTraceExtractor(16000.0)
-        extractor.feed(_wave(4000, 13))
-        extractor.finalize()
-        with pytest.raises(StreamError):
-            extractor.feed(np.zeros(10))
-
-    def test_low_rate_rejected(self):
-        with pytest.raises(StreamError):
-            StreamingTraceExtractor(4000.0)
-
-    def test_feed_and_waveform_validation(self):
-        extractor = StreamingTraceExtractor(16000.0)
-        with pytest.raises(StreamError):
-            extractor.feed(np.zeros((2, 2)))
-        extractor.feed(_wave(100, 14))
-        with pytest.raises(StreamError):
-            extractor.commit(200)
-        with pytest.raises(StreamError):
-            extractor.waveform(101)
-        with pytest.raises(StreamError):
-            extractor.finalize(0)
+            _close_analysis(_wave(18000, 12), 16000.0, [18000], 9000)

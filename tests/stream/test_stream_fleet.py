@@ -1,5 +1,5 @@
-"""Fleet simulator: worker-count determinism, report integrity and
-the block-by-block timeline source.
+"""Fleet simulator: worker-count determinism, report integrity, wall
+accounting and the block-by-block timeline source.
 
 The ``FUZZ_EXAMPLES`` environment variable scales the source's
 partition property (CI's fuzz job widens it).
@@ -8,6 +8,7 @@ partition property (CI's fuzz job widens it).
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.stream.fleet import (
     TimelineSource,
     assemble_timeline,
 )
+from repro.stream.shard import ShardedFleetSimulator
 
 FUZZ_EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "6"))
 
@@ -112,6 +114,40 @@ class TestReport:
                     assert utterance.executed_command is None
                 else:
                     assert not utterance.vetoed
+
+
+class TestWallAccounting:
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_wall_seconds_is_inside_the_outer_wall(
+        self, stream_detector, workers, shards
+    ):
+        """The headline wall is the streaming phase's own wall clock:
+        positive, and never more than a wall timed around the whole
+        run, whatever the thread and shard counts (groups of one, so
+        the threads have groups to share)."""
+        # Long idle gaps make the timeline draws a large share of
+        # every thread's time, so per-thread windows overlap the most.
+        config = FleetConfig(
+            n_streams=4,
+            utterances_per_stream=1,
+            gap_s=10.0,
+            seed=9,
+            workers=workers,
+            shards=shards,
+            batch_streams=1,
+        )
+        started = time.perf_counter()
+        report = ShardedFleetSimulator(stream_detector, config).run()
+        outer = time.perf_counter() - started
+        assert 0 < report.wall_seconds <= outer
+        assert 0 < report.prepare_seconds <= outer
+        if shards == 1:
+            started = time.perf_counter()
+            report = FleetSimulator(stream_detector, config).run()
+            outer = time.perf_counter() - started
+            assert 0 < report.wall_seconds <= outer
+            assert report.wall_seconds + report.prepare_seconds <= outer
 
 
 class TestConfigValidation:

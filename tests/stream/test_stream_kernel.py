@@ -1,20 +1,27 @@
-"""Structure-of-arrays fleet kernel: digest parity and ring units.
+"""Stream groups: digest parity, decide on close, bounded working set,
+the segmenter's two paths and the shared ring.
 
 The kernel's contract (:mod:`repro.stream.kernel`) is that grouping
 streams into lockstep batches is pure plumbing — every per-stream
-digest is bitwise the scalar :func:`~repro.stream.fleet.drive_stream`
-loop's, for *any* grouping of streams into kernel batches. A
-hypothesis property pins it over arbitrary partitions (non-contiguous,
-unordered — strictly wider than the contiguous ``batch_streams``
-splits production uses), a second property walks the public
-``batch_streams`` knob itself, and unit tests nail the shared ring
+digest is bitwise the one each stream gets in a group of its own
+(``FleetConfig(vectorized=False)``), for *any* grouping of streams
+into kernel batches. A hypothesis property pins it over arbitrary
+partitions (non-contiguous, unordered — strictly wider than the
+contiguous ``batch_streams`` splits production uses), a second
+property walks the public ``batch_streams`` knob itself, a third pins
+the segmenter's narrow-group row loop to its vector path, and unit
+tests nail the shared ring
 (:class:`~repro.stream.chunker.ChunkedStreamBatch`): exact
 reconstruction, doubling growth, wraparound reuse and the
-row-for-row frame-energy equivalence with the scalar ring.
+row-for-row frame-energy equivalence with rings of one row.
+
+The ``FUZZ_EXAMPLES`` environment variable scales the segmenter
+property (CI's fuzz job widens it).
 """
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -27,16 +34,24 @@ from repro.errors import StreamError
 from repro.experiments.s1_streaming import train_detector
 from repro.speech.recognizer import KeywordRecognizer
 from repro.stream import kernel
-from repro.stream.chunker import ChunkedStream, ChunkedStreamBatch
+from repro.stream.chunker import ChunkedStreamBatch
 from repro.stream.fleet import (
     FleetConfig,
     FleetSimulator,
     TimelineSource,
+    UtteranceDigest,
     check_fleet_rate,
     fleet_seed_plan,
     synthesize_utterances,
 )
+from repro.stream.segmenter import (
+    BatchOpened,
+    OnlineSegmenterBatch,
+    SegmenterConfig,
+)
 from repro.stream.shard import ShardedFleetSimulator
+
+FUZZ_EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "6"))
 
 #: One small fleet, shared by every kernel comparison in this file.
 CONFIG = FleetConfig(
@@ -49,8 +64,9 @@ CONFIG = FleetConfig(
 
 
 @pytest.fixture(scope="module")
-def scalar_report(stream_detector):
-    """The reference: the same fleet through the scalar loop."""
+def per_stream_report(stream_detector):
+    """The reference: the same fleet, each stream in a group of its
+    own."""
     config = FleetConfig(
         n_streams=CONFIG.n_streams,
         utterances_per_stream=CONFIG.utterances_per_stream,
@@ -91,10 +107,10 @@ class TestKernelDigestParity:
     )
     @given(partition=index_partitions(CONFIG.n_streams))
     def test_any_grouping_matches_the_scalar_digest(
-        self, stream_detector, scalar_report, fleet_inputs, partition
+        self, stream_detector, per_stream_report, fleet_inputs, partition
     ):
         """Arbitrary stream-to-group assignment — non-contiguous,
-        unordered, any group sizes — merges to the scalar loop's
+        unordered, any group sizes — merges to the groups-of-one
         digest bitwise."""
         recordings, recognizer, attack_mask, stream_seqs, rate = (
             fleet_inputs
@@ -124,7 +140,7 @@ class TestKernelDigestParity:
             raw.commit()
             for raw in sorted(raw_runs, key=lambda raw: raw.index)
         ]
-        reference = scalar_report.digest()
+        reference = per_stream_report.digest()
         assert (
             tuple(
                 (s.index, s.is_attack, s.duration_s, s.utterances)
@@ -144,7 +160,7 @@ class TestKernelDigestParity:
         )
     )
     def test_any_batch_streams_matches_the_scalar_digest(
-        self, stream_detector, scalar_report, batch_streams
+        self, stream_detector, per_stream_report, batch_streams
     ):
         """The public knob: every lockstep group width produces the
         identical fleet digest through the full simulator."""
@@ -158,12 +174,12 @@ class TestKernelDigestParity:
             batch_streams=batch_streams,
         )
         report = FleetSimulator(stream_detector, config).run()
-        assert report.digest() == scalar_report.digest()
+        assert report.digest() == per_stream_report.digest()
 
     def test_multi_utterance_streams_match(self, stream_detector):
         """Two utterances per stream: open/close/reopen boundary
-        events inside one lockstep group still match the scalar
-        loop."""
+        events inside one lockstep group still match groups of
+        one."""
         reports = {}
         for vectorized in (False, True):
             config = FleetConfig(
@@ -192,8 +208,8 @@ class TestKernelDigestParity:
         self, stream_detector, scenario, n_streams, shards
     ):
         """S1's quick fleet configs — the free field, a generated
-        environment, and a sharded fleet — give the per-stream loop's
-        results stream by stream."""
+        environment, and a sharded fleet — give the same results as
+        groups of one, stream by stream."""
         detector = (
             stream_detector
             if scenario == "free_field"
@@ -286,6 +302,197 @@ class TestStreamGroup:
         with pytest.raises(StreamError):
             kernel.StreamGroup(
                 stream_detector, None, [0, 1], rate, recognizer, ["Pa"]
+            )
+
+
+    def test_push_returns_the_outcomes_it_closed(
+        self, stream_detector, stream_probes
+    ):
+        """Each verdict comes back from the push whose cycle closed
+        the utterance, emitted at the row's length after that push;
+        flush returns only what was still open."""
+        recordings, recognizer = stream_probes
+        rate = check_fleet_rate(recordings)
+        rng = np.random.default_rng(3)
+        background = 0.1 * recordings[1].rms()
+        lead = rng.normal(size=int(0.4 * rate)) * background
+        gap = rng.normal(size=int(0.6 * rate)) * background
+        timeline = np.concatenate(
+            [lead, recordings[0].samples, gap, recordings[1].samples, gap]
+        )
+        # Row 1 stops right after the second utterance: its close is
+        # left to flush.
+        cut = len(lead) + recordings[0].n_samples + len(gap)
+        cut += recordings[1].n_samples
+        group = kernel.StreamGroup(
+            stream_detector,
+            None,
+            [0, 1],
+            rate,
+            recognizer,
+            [recordings[0].unit] * 2,
+        )
+        chunk = int(0.05 * rate)
+        block = np.zeros((2, chunk))
+        closed_by_push = [[], []]
+        for start in range(0, timeline.shape[0], chunk):
+            piece = timeline[start : start + chunk]
+            block[0, : piece.shape[0]] = piece
+            block[1, : piece.shape[0]] = piece
+            real = [piece.shape[0], max(0, min(piece.shape[0], cut - start))]
+            outcomes = group.push(block[:, : piece.shape[0]], real)
+            assert len(outcomes) == 2
+            for row in range(2):
+                for outcome in outcomes[row]:
+                    assert outcome.emitted_at_sample == group.lengths[row]
+                    assert outcome.end_sample <= group.lengths[row]
+                    closed_by_push[row].append(outcome)
+        flushed = group.flush()
+        assert len(closed_by_push[0]) == 2 and flushed[0] == []
+        assert len(closed_by_push[1]) == 1 and len(flushed[1]) == 1
+        assert flushed[1][0].emitted_at_sample == cut
+        # The shared first utterance got the same verdict on both rows.
+        assert UtteranceDigest.of(closed_by_push[0][0]) == (
+            UtteranceDigest.of(closed_by_push[1][0])
+        )
+
+    def test_working_set_does_not_grow_with_the_utterance_count(
+        self, stream_detector, stream_probes
+    ):
+        """Verdicts leave the group as utterances close: eight times
+        the utterances per stream add (almost) nothing to the group's
+        peak traced allocation, though the extra closed utterances'
+        samples alone run to tens of megabytes."""
+        recordings, recognizer = stream_probes
+        rate = check_fleet_rate(recordings)
+        n_group = 16
+        seqs = np.random.SeedSequence(5).spawn(n_group)
+        peaks, utterance_bytes = {}, {}
+        for per in (2, 16):
+            config = FleetConfig(n_streams=n_group, utterances_per_stream=per)
+            by_stream = [
+                [recordings[(b + k) % 2] for k in range(per)]
+                for b in range(n_group)
+            ]
+            flags = [
+                np.array([(b + k) % 2 == 0 for k in range(per)])
+                for b in range(n_group)
+            ]
+            utterance_bytes[per] = 8 * sum(
+                recording.n_samples for stream in by_stream for recording in stream
+            )
+            tracemalloc.start()
+            try:
+                runs, _ = kernel.drive_stream_group(
+                    config,
+                    stream_detector,
+                    None,
+                    list(range(n_group)),
+                    rate,
+                    recognizer,
+                    by_stream,
+                    flags,
+                    seqs,
+                )
+                peaks[per] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [len(run.outcomes) for run in runs] == [per] * n_group
+        extra = utterance_bytes[16] - utterance_bytes[2]
+        assert extra > 50e6
+        assert peaks[16] - peaks[2] < 0.1 * extra
+
+
+def _segmenter_events(events):
+    """Events as comparable tuples, array fields by value and dtype."""
+    flat = []
+    for event in events:
+        fields = [type(event).__name__, event.frame]
+        if isinstance(event, BatchOpened):
+            arrays = [event.rows]
+            fields.append(event.start_sample)
+        else:
+            arrays = [
+                event.rows, event.start_samples, event.end_samples,
+                event.forced,
+            ]
+        for array in arrays:
+            fields.append((array.dtype.str, array.tolist()))
+        flat.append(tuple(fields))
+    return flat
+
+
+def _segmenter_state(seg):
+    return [
+        getattr(seg, name).tolist()
+        for name in (
+            "_floor", "_seen", "_consecutive", "_open",
+            "_start", "_last_voiced",
+        )
+    ] + [seg._frames_done]
+
+
+class TestSegmenterPaths:
+    #: Quiet, hysteresis-band and loud levels against an EMA floor
+    #: near 1, plus exact zeros (the floor clamp) and arbitrary values.
+    LEVELS = st.one_of(
+        st.sampled_from([0.0, 1.0, 1.0, 3.0, 10.0, 40.0]),
+        st.floats(min_value=0.0, max_value=50.0),
+    )
+
+    @settings(max_examples=FUZZ_EXAMPLES * 5, deadline=None)
+    @given(data=st.data())
+    def test_row_loop_matches_vector_path(self, data):
+        """The narrow-group Python-float loop and the masked vector
+        path emit the same events and leave bitwise-equal state, over
+        rows that end early, forced closes and hysteresis, cut into
+        arbitrary blocks."""
+        n_rows = data.draw(st.integers(min_value=1, max_value=6))
+        n_frames = data.draw(st.integers(min_value=1, max_value=80))
+        energies = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(
+                        self.LEVELS, min_size=n_frames, max_size=n_frames
+                    ),
+                    min_size=n_rows,
+                    max_size=n_rows,
+                )
+            ),
+            dtype=np.float64,
+        ).reshape(n_rows, n_frames)
+        ends = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n_frames),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        valid = np.arange(n_frames)[np.newaxis, :] < np.array(ends)[:, np.newaxis]
+        config = SegmenterConfig(
+            open_frames=data.draw(st.integers(min_value=1, max_value=3)),
+            hangover_frames=data.draw(st.integers(min_value=0, max_value=3)),
+            close_frames=data.draw(st.integers(min_value=1, max_value=4)),
+            max_utterance_s=data.draw(st.sampled_from([0.1, 0.2, 10.0])),
+        )
+        cuts = data.draw(
+            st.sets(st.integers(min_value=1, max_value=n_frames), max_size=4)
+        )
+        edges = [0] + sorted(cuts - {n_frames}) + [n_frames]
+        rows_seg = OnlineSegmenterBatch(n_rows, 16000.0, config)
+        vector_seg = OnlineSegmenterBatch(n_rows, 16000.0, config)
+        for lo, hi in zip(edges, edges[1:]):
+            by_rows = rows_seg._process_rows(
+                lo, energies[:, lo:hi], valid[:, lo:hi]
+            )
+            by_vector = vector_seg._process_vector(
+                lo, energies[:, lo:hi], valid[:, lo:hi]
+            )
+            assert _segmenter_events(by_rows) == _segmenter_events(
+                by_vector
+            )
+            assert _segmenter_state(rows_seg) == _segmenter_state(
+                vector_seg
             )
 
 
@@ -384,16 +591,16 @@ class TestBatchRing:
             assert np.array_equal(got, second[row])
 
     def test_energies_match_the_scalar_ring_bitwise(self):
-        """Row i of the batch ring's frame energies equals the scalar
-        ring's for row i's samples — through both the unwrapped-span
+        """Row i of the batch ring's frame energies equals a ring of
+        one row fed row i's samples — through both the unwrapped-span
         fast path and the wrapped (linearized) path."""
         rate = 16000.0
         rows = 3
         waves = _random_rows(rows, int(1.0 * rate))
         batch = ChunkedStreamBatch(rows, rate)
-        scalars = [ChunkedStream(rate) for _ in range(rows)]
+        singles = [ChunkedStreamBatch(1, rate) for _ in range(rows)]
         batch_energies = []
-        scalar_energies = [[] for _ in range(rows)]
+        single_energies = [[] for _ in range(rows)]
         for start in range(0, waves.shape[1], 333):
             block = waves[:, start : start + 333]
             batch.push_block(block)
@@ -404,17 +611,15 @@ class TestBatchRing:
             # the stream ends, covering the wrapped span path too.
             keep = batch.frames_emitted * batch.hop
             batch.release(min(keep, batch.head))
-            for row in range(rows):
-                scalars[row].push(block[row])
-                _, row_energies = scalars[row].pending_frame_energies()
-                scalar_energies[row].extend(row_energies)
-                scalars[row].release(
-                    min(keep, scalars[row].head)
-                )
+            for row, single in enumerate(singles):
+                single.push_block(block[row : row + 1])
+                _, row_energies = single.pending_frame_energies()
+                single_energies[row].extend(row_energies[0])
+                single.release(min(keep, single.head))
         stacked = np.asarray(batch_energies).T
         for row in range(rows):
             assert np.array_equal(
-                stacked[row], np.asarray(scalar_energies[row])
+                stacked[row], np.asarray(single_energies[row])
             )
 
     def test_gather_rows_stacks_read_row(self):

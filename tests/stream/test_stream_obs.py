@@ -4,7 +4,7 @@ Three contracts from the ``repro.obs`` integration:
 
 * **bitwise inertness** — running a fleet under an active tracer and
   metrics registry produces the identical digest to an untraced run,
-  on both kernel paths;
+  in wide groups and in groups of one;
 * **completeness** — the trace carries every stream-kernel stage and
   one utterance marker per segmented utterance;
 * **shard-boundary attribution** — spans recorded inside pool-worker
@@ -143,18 +143,25 @@ class TestCompleteness:
     def test_scalar_path_emits_stream_and_utterance_spans(
         self, stream_detector
     ):
+        """With ``vectorized=False`` every stream runs in a group of
+        its own: one ``stream-group`` span per stream, and each
+        utterance marker sits under its own stream's group span."""
         tracer = Tracer()
         with activate(tracer):
             report = FleetSimulator(
                 stream_detector, small_config(vectorized=False)
             ).run()
         names = spans_by_name(tracer.spans)
-        streams = names["stream"]
-        assert len(streams) == 2
+        groups = names["stream-group"]
+        assert [span.attrs["streams"] for span in groups] == [1, 1]
+        group_ids = {span.span_id for span in groups}
+        by_group = {}
         for utterance in names["utterance"]:
-            assert utterance.parent_id in {
-                span.span_id for span in streams
-            }
+            assert utterance.parent_id in group_ids
+            by_group.setdefault(utterance.parent_id, set()).add(
+                utterance.attrs["stream"]
+            )
+        assert sorted(by_group.values(), key=min) == [{0}, {1}]
         assert len(names["utterance"]) == report.n_utterances
 
 
