@@ -60,7 +60,6 @@ def _config(quick: bool, seed: int, scenario: str) -> FleetConfig:
         gap_s=3.0 if quick else 10.0,
         chunk_s=0.05,
         seed=seed + 3,
-        workers=2,
     )
 
 

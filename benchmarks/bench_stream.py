@@ -27,10 +27,10 @@ run-over-run trajectory:
   call per kernel group, trials = streams; printed by CI's
   perf-gates step alongside the trial pipeline's breakdown).
 * **Sharded fleet** — the same duty cycle scaled to every core
-  through :class:`~repro.stream.shard.ShardedFleetSimulator`: one
-  process shard per core, 120 streams per shard. Gates: the sharded
-  digest is bitwise identical to the unsharded simulator, and the
-  fleet sustains >= 250 streams *per core* (near-linear scaling);
+  through ``FleetConfig(shards=N)``: one process shard per core, 120
+  streams per shard. Gates: the ``shards=N`` digest is bitwise
+  identical to the same fleet at ``shards=1``, and the fleet sustains
+  >= 250 streams *per core* (near-linear scaling);
   ``streams_per_core_per_second`` is the recorded trajectory figure.
 * **Mega fleet** (``--mega``, full runs only) — the ROADMAP's
   five-digit demonstration: 10,000 concurrent streams on the quick
@@ -58,6 +58,7 @@ sustained-stream gate misses.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import os
 import sys
@@ -71,7 +72,6 @@ from repro.sim.bench import write_bench_record
 from repro.sim.pipeline import StageProfile
 from repro.sim.results import ResultTable
 from repro.stream.fleet import FleetConfig, FleetSimulator
-from repro.stream.shard import ShardedFleetSimulator
 
 #: The acceptance gate: live 1x device streams the machine must hold.
 #: Raised from 100 to 250 when the structure-of-arrays kernel landed
@@ -136,7 +136,6 @@ def _fleet_config(
         gap_s=6.0 if quick else 10.0,
         chunk_s=0.05,
         seed=seed + 3,
-        workers=max(1, (os.cpu_count() or 2)),
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
@@ -145,7 +144,8 @@ def _fleet_config(
 def bench_fleet(
     quick: bool, seed: int, scenario: str
 ) -> tuple[dict, StageProfile]:
-    """Sustained concurrent streams on a mostly-idle fleet.
+    """Sustained concurrent streams on a mostly-idle, single-process
+    (one core) fleet.
 
     Runs the workload through both group widths — every stream in a
     group of its own, and 64-stream groups — so the record carries the
@@ -196,7 +196,6 @@ def bench_fleet(
             f"{config.gap_s:.0f} s idle gap ({scenario})"
         ),
         "n_streams": config.n_streams,
-        "workers": config.workers,
         "batch_streams": config.batch_streams,
         "repeats": REPEATS,
         "audio_seconds": report.audio_seconds,
@@ -242,9 +241,8 @@ def bench_sharded_fleet(
 
     Two claims, two measurements:
 
-    * **Digest parity** — a small fleet run through both the
-      unsharded :class:`FleetSimulator` and the sharded driver at the
-      benched shard count must produce bitwise-identical digests
+    * **Digest parity** — a small fleet run at ``shards=1`` and at
+      the benched shard count must produce bitwise-identical digests
       (cheap: 8 streams), so the throughput number below can never be
       quoted from a diverged implementation.
     * **Throughput** — ``STREAMS_PER_SHARD`` streams *per shard* (the
@@ -262,11 +260,12 @@ def bench_sharded_fleet(
         n_streams=8,
         attack_fraction=0.5,
         seed=seed + 4,
-        workers=2,
         shards=shards,
     )
-    reference = FleetSimulator(detector, parity_config).run()
-    sharded = ShardedFleetSimulator(detector, parity_config).run()
+    reference = FleetSimulator(
+        detector, dataclasses.replace(parity_config, shards=1)
+    ).run()
+    sharded = FleetSimulator(detector, parity_config).run()
     digest_identical = reference.digest() == sharded.digest()
 
     config = FleetConfig(
@@ -278,13 +277,12 @@ def bench_sharded_fleet(
         gap_s=6.0 if quick else 10.0,
         chunk_s=0.05,
         seed=seed + 3,
-        workers=max(1, (os.cpu_count() or 2) // shards),
         shards=shards,
     )
     report = None
     for _ in range(REPEATS):
         gc.collect()
-        run = ShardedFleetSimulator(detector, config).run()
+        run = FleetSimulator(detector, config).run()
         if report is not None and run.digest() != report.digest():
             raise AssertionError("sharded fleet digest drifted between passes")
         if report is None or run.wall_seconds < report.wall_seconds:
@@ -300,7 +298,6 @@ def bench_sharded_fleet(
         "n_streams": config.n_streams,
         "shards": shards,
         "cores": cores,
-        "workers_per_shard": config.workers,
         "repeats": REPEATS,
         "audio_seconds": report.audio_seconds,
         "wall_seconds": report.wall_seconds,
@@ -347,13 +344,12 @@ def bench_mega_fleet(seed: int, scenario: str) -> dict:
             gap_s=6.0,
             chunk_s=0.05,
             seed=seed + 5,
-            workers=max(1, (os.cpu_count() or 2) // cores),
             shards=shards,
             vectorized=vectorized,
         )
 
-    report = ShardedFleetSimulator(detector, config(True)).run()
-    scalar = ShardedFleetSimulator(detector, config(False)).run()
+    report = FleetSimulator(detector, config(True)).run()
+    scalar = FleetSimulator(detector, config(False)).run()
     sustained = int(report.realtime_factor)
     return {
         "workload": (
@@ -511,8 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not sharded["digest_identical"]:
         print(
-            "FAIL: sharded fleet digest diverged from the unsharded "
-            "simulator",
+            "FAIL: sharded fleet digest diverged from the same fleet "
+            "at shards=1",
             file=sys.stderr,
         )
         return 1

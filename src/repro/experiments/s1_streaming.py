@@ -39,7 +39,6 @@ from repro.stream.fleet import (
     synthesize_utterances,
 )
 from repro.stream.guard import StreamingGuard
-from repro.stream.shard import ShardedFleetSimulator
 
 
 def train_detector(
@@ -163,16 +162,16 @@ def run(
 ) -> ResultTable:
     """Parity, dispositions and stream-time latency of the online guard.
 
-    ``shards`` routes the fleet through the process-sharded driver
-    (:class:`~repro.stream.shard.ShardedFleetSimulator`); the fleet
-    runs :class:`~repro.stream.fleet.FleetConfig`'s default kernel.
-    ``streams`` overrides the fleet size. The rendered table —
-    dispositions, latencies and the fleet digest row — is
-    byte-identical for every shard count at any fleet size (the CI
-    shard-determinism job diffs ``--shards 1/2/4`` stdout);
+    ``shards`` splits the fleet into that many shards
+    (:class:`~repro.stream.fleet.FleetSimulator` runs more than one on
+    a process pool); the fleet runs
+    :class:`~repro.stream.fleet.FleetConfig`'s default kernel. ``streams`` overrides the fleet size. The
+    rendered table — dispositions, latencies and the fleet digest row
+    — is byte-identical for every shard count at any fleet size (the
+    CI shard-determinism job diffs ``--shards 1/2/4`` stdout);
     wall-clock figures (streams/core/second, per-shard balance) go to
     stderr, like the CLI's timing lines. ``jobs`` and ``engine`` exist
-    for interface uniformity; the fleet brings its own workers.
+    for interface uniformity; the fleet's parallelism is ``shards``.
     """
     del jobs, engine
     spec = get_scenario(scenario)
@@ -205,31 +204,21 @@ def run(
             "yes" if bitwise else "no",
             "",
         )
-    # The fleet: online segmentation end to end. Worker and shard
-    # counts never change results (pinned by the determinism
-    # suites), so a fixed small pool keeps the table byte-stable
-    # everywhere.
+    # The fleet: online segmentation end to end. The shard count
+    # never changes results (pinned by the determinism suites), so
+    # the table is byte-stable for every --shards value.
     fleet_config = FleetConfig(
         scenario=scenario,
         n_streams=n_streams,
         utterances_per_stream=1,
         attack_fraction=0.5,
         seed=seed + 2,
-        workers=4,
         shards=shards,
     )
-    if shards == 1:
-        report = FleetSimulator(detector, fleet_config).run()
-    else:
-        report = ShardedFleetSimulator(detector, fleet_config).run()
+    report = FleetSimulator(detector, fleet_config).run()
     cores = min(shards, os.cpu_count() or 1)
-    balance = (
-        min(report.shard_wall_seconds)
-        / max(report.shard_wall_seconds)
-        if report.shard_wall_seconds
-        and max(report.shard_wall_seconds) > 0
-        else 1.0
-    )
+    walls = report.shard_wall_seconds
+    balance = min(walls) / max(walls) if max(walls) > 0 else 1.0
     print(
         f"[S1] fleet shards={shards}: "
         f"{report.realtime_factor:.0f} sustained streams, "

@@ -105,9 +105,9 @@ class Tracer:
     automatically: the innermost open span on the *current thread* is
     the default parent for anything recorded on that thread.
     Manually-timed spans (:meth:`record`) take an explicit parent, or
-    inherit the same per-thread default. Code running on worker
-    threads (the scalar fleet path drives streams from a thread pool)
-    passes the parent id across explicitly.
+    inherit the same per-thread default. A parent whose id was
+    allocated up front (:meth:`new_id`) is made the default with
+    :meth:`attached`.
     """
 
     def __init__(self) -> None:
@@ -142,10 +142,10 @@ class Tracer:
     def attached(self, parent_id: int | None) -> Iterator[None]:
         """Make ``parent_id`` the default parent on *this* thread.
 
-        The nesting stack is thread-local, so work dispatched to a
-        pool thread would otherwise record roots; the dispatcher
-        captures its own ``current_parent()`` and each worker thread
-        re-attaches under it.
+        For a span recorded after its children: the caller allocates
+        its id with :meth:`new_id`, runs the children attached under
+        it, then records it. Work handed to another thread re-attaches
+        under a captured ``current_parent()`` the same way.
         """
         if parent_id is None:
             yield

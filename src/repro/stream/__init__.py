@@ -33,12 +33,9 @@ group of streams; a single device is a group of one.
 ``fleet``
     :class:`~repro.stream.fleet.FleetSimulator`, hundreds of
     concurrent device streams in lockstep groups, with per-stream
-    ``SeedSequence`` randomness and grouping-independent results.
-``shard``
-    :class:`~repro.stream.shard.ShardedFleetSimulator`, the fleet
-    partitioned into per-process shards with commit-queue result
-    draining — digests bitwise identical to the unsharded simulator
-    for every shard × worker count.
+    ``SeedSequence`` randomness, partitioned into ``shards`` (one
+    runs inline, more on a process pool) — digests bitwise identical
+    for every grouping, shard count and partition.
 """
 
 from repro.stream.features import WelchAccumulator
@@ -46,20 +43,16 @@ from repro.stream.fleet import (
     FleetConfig,
     FleetReport,
     FleetSimulator,
+    ShardAccumulator,
+    ShardResult,
+    ShardTask,
     StreamResult,
     UtteranceDigest,
+    plan_shards,
+    run_shard,
     synthesize_utterances,
 )
 from repro.stream.guard import StreamingGuard, UtteranceOutcome
-from repro.stream.shard import (
-    CommitQueue,
-    ShardAccumulator,
-    ShardedFleetSimulator,
-    ShardResult,
-    ShardTask,
-    plan_shards,
-    run_shard,
-)
 from repro.stream.segmenter import SegmenterConfig
 
 __all__ = [
@@ -73,11 +66,9 @@ __all__ = [
     "StreamResult",
     "UtteranceDigest",
     "synthesize_utterances",
-    "CommitQueue",
     "ShardAccumulator",
     "ShardResult",
     "ShardTask",
-    "ShardedFleetSimulator",
     "plan_shards",
     "run_shard",
 ]

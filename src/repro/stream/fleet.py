@@ -18,31 +18,43 @@ recordings are synthesised through the *batched*
 class, every stream's per-utterance variation riding the stacked
 per-trial stages — with per-stream generators spawned from one
 :class:`numpy.random.SeedSequence`, so the whole fleet is a pure
-function of its config:
+function of its config.
 
-* verdicts, boundaries and stream-time latencies are bitwise
-  identical for every ``batch_streams``, ``workers`` and ``shards``
-  value (the determinism suites pin this);
-* wall-clock throughput is reported separately
-  (:attr:`FleetReport.wall_seconds`, the outer wall clock of the
-  streaming phase), which is what ``benchmarks/bench_stream.py``
-  records in ``BENCH_stream.json``.
+The fleet's one parallelism is ``shards``, borrowing the NSO
+concurrency-model playbook (SNIPPETS.md §1) the way Harmonia
+partitions replicated reads:
 
-:func:`drive_streams` is the one streaming dispatcher; to scale
-*across* cores, :mod:`repro.stream.shard` partitions the fleet into
-per-process shards that each call it over their own partition — which
-is why it, the per-class synthesis (:func:`synthesize_utterances`,
-emission-cached per process through :mod:`repro.sim.engine`) and the
-result containers here are all module-level and picklable.
+* **Independent shards.** :func:`plan_shards` partitions the streams
+  into :class:`ShardTask` recipes; :func:`run_shard` synthesises one
+  shard's slice of recordings (:func:`synthesize_utterances`,
+  emission-cached per process through :mod:`repro.sim.engine`) and
+  drives its partition (:func:`drive_streams`). One shard runs
+  inline; more run one per process. Nothing coordinates on the hot
+  path.
+* **Merging.** :class:`ShardAccumulator` folds shard results in as
+  they finish, rejecting a duplicate or missing stream.
+* **Determinism.** All randomness is laid out by
+  :func:`fleet_seed_plan` before any scheduling, and each stream is a
+  pure function of its own seed sequence and utterance slots, so
+  verdicts, boundaries and stream-time latencies are bitwise
+  identical for every ``batch_streams`` and ``shards`` value and for
+  any partition (a hypothesis property and the CI shard-determinism
+  job pin this).
+
+Wall-clock throughput is reported separately:
+:attr:`FleetReport.wall_seconds` is the slowest shard's streaming
+wall clock, and :attr:`FleetReport.shard_wall_seconds` keeps every
+shard's, so load imbalance is visible. ``benchmarks/bench_stream.py``
+records it in ``BENCH_stream.json``.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -54,9 +66,15 @@ from repro.dsp.signals import Signal
 from repro.errors import StreamError
 from repro.hardware.devices import horn_tweeter
 from repro.obs.metrics import LatencyRecorder, current_metrics
-from repro.obs.trace import current_tracer, maybe_span
+from repro.obs.trace import (
+    Span,
+    Tracer,
+    activate as activate_tracer,
+    current_tracer,
+    maybe_span,
+)
 from repro.sim.cache import stable_key
-from repro.sim.engine import EmissionSpec, cached_voice
+from repro.sim.engine import EmissionSpec, cached_voice, partition_evenly
 from repro.sim.pipeline import build_pipeline, level_stage
 from repro.sim.spec import RIG_POSITION, get_scenario
 from repro.speech.recognizer import KeywordRecognizer
@@ -104,12 +122,14 @@ class FleetConfig:
     seed:
         Master seed for the whole fleet.
     workers:
-        Thread count for processing (per shard, when sharded);
-        results are identical for every value.
+        Always 1; any other value is rejected. The fleet's parallelism
+        is ``shards``. Kept only because ``perfbench/`` constructs
+        configs with ``workers=1``; it goes together with
+        ``vectorized`` when that benchmark is next revised.
     shards:
-        Process-shard count for :class:`~repro.stream.shard.
-        ShardedFleetSimulator`. :class:`FleetSimulator` itself is the
-        single-shard loop and ignores this knob; results are bitwise
+        The fleet's parallelism: the streams split into this many
+        shards, run inline when there is one and otherwise on a
+        process pool of up to one process per core. Results are bitwise
         identical for every value (the shard determinism suite and CI
         job pin it).
     vectorized:
@@ -166,9 +186,10 @@ class FleetConfig:
                 "background_ratio must be in (0, 1), got "
                 f"{self.background_ratio}"
             )
-        if self.workers < 1:
+        if self.workers != 1:
             raise StreamError(
-                f"workers must be >= 1, got {self.workers}"
+                f"workers must be 1, got {self.workers}: the fleet's "
+                "parallelism is shards (process-parallel)"
             )
         if self.shards < 1:
             raise StreamError(
@@ -231,7 +252,7 @@ class FleetReport:
 
     Everything except the wall-clock fields is deterministic given
     the config; the determinism suite compares :meth:`digest` across
-    worker counts and the golden S1 table renders only deterministic
+    shard counts and the golden S1 table renders only deterministic
     fields.
     """
 
@@ -241,14 +262,14 @@ class FleetReport:
     #: Utterance synthesis, the workload generation before streaming
     #: starts.
     prepare_seconds: float = 0.0
-    #: The outer wall clock of the streaming phase: ambient timeline
-    #: draws, ingestion, segmentation, Welch accumulation and the
-    #: decide phase (recognition + detection), however many threads
-    #: share it.
+    #: The outer wall clock of the streaming phase (the slowest
+    #: shard's): ambient timeline draws, ingestion, segmentation,
+    #: Welch accumulation and the decide phase (recognition +
+    #: detection).
     wall_seconds: float = 0.0
-    #: Per-shard streaming wall clock (empty when unsharded). The
-    #: spread diagnoses load imbalance; the coordinator's
-    #: ``wall_seconds`` stays the throughput denominator.
+    #: Per-shard streaming wall clock, one entry per shard in shard
+    #: order. The spread diagnoses load imbalance; ``wall_seconds``
+    #: stays the throughput denominator.
     shard_wall_seconds: tuple[float, ...] = ()
 
     @property
@@ -314,10 +335,9 @@ class FleetReport:
         recorder = registry.latency("fleet.latency_s")
         for latency in self.latencies_s():
             recorder.observe(latency)
-        if self.shard_wall_seconds:
-            shard_recorder = registry.latency("fleet.shard_wall_s")
-            for wall in self.shard_wall_seconds:
-                shard_recorder.observe(wall)
+        shard_recorder = registry.latency("fleet.shard_wall_s")
+        for wall in self.shard_wall_seconds:
+            shard_recorder.observe(wall)
 
     @property
     def realtime_factor(self) -> float:
@@ -328,7 +348,7 @@ class FleetReport:
         return self.audio_seconds / self.wall_seconds
 
     def digest(self) -> tuple:
-        """Deterministic fingerprint for cross-worker comparisons."""
+        """Deterministic fingerprint for cross-shard comparisons."""
         return tuple(
             (s.index, s.is_attack, s.duration_s, s.utterances)
             for s in self.streams
@@ -382,8 +402,8 @@ def synthesize_utterances(
     cache (:func:`~repro.sim.engine.cached_voice`,
     :class:`~repro.sim.engine.EmissionSpec`), so a shard process
     builds each waveform once and reuses it across every task it
-    executes. Shared by the fleet simulator, the shard workers and
-    the S1 experiment's parity probes.
+    executes. Shared by the fleet's shards and the S1 experiment's
+    parity probes.
     """
     spec = get_scenario(scenario_name)
     scenario = spec.build(command, distance_m)
@@ -440,9 +460,8 @@ def fleet_seed_plan(
     per-slot class assignment, one :class:`~numpy.random.SeedSequence`
     per utterance slot and one per stream — all derived from
     ``config.seed`` alone. This is the *single* statement of the
-    fleet's seeding: :class:`FleetSimulator` and the sharded driver
-    (:mod:`repro.stream.shard`) both consume it, which is what makes
-    their digests bitwise comparable for any shard count.
+    fleet's seeding: :func:`plan_shards` slices it per shard, which
+    is what makes digests bitwise comparable for any partition.
     """
     n_slots = config.n_streams * config.utterances_per_stream
     root = np.random.SeedSequence(config.seed)
@@ -456,35 +475,6 @@ def fleet_seed_plan(
         trials_seq.spawn(n_slots),
         streams_seq.spawn(config.n_streams),
     )
-
-
-@dataclass
-class RawStreamRun:
-    """One stream's undigested outcome — the unit the commit queue
-    drains.
-
-    The driving thread produces this (cheap: references, no
-    summarisation) and moves on to its next group; converting the
-    guard outcomes into the deterministic :class:`StreamResult`
-    digest happens off the ingestion hot path (in the shard's commit
-    queue, or inline in the unsharded simulator).
-    """
-
-    index: int
-    is_attack: tuple[bool, ...]
-    duration_s: float
-    outcomes: list[UtteranceOutcome]
-
-    def commit(self) -> StreamResult:
-        return StreamResult(
-            index=self.index,
-            is_attack=self.is_attack,
-            duration_s=self.duration_s,
-            utterances=tuple(
-                UtteranceDigest.of(outcome)
-                for outcome in self.outcomes
-            ),
-        )
 
 
 class TimelineSource:
@@ -589,6 +579,8 @@ def check_fleet_rate(recordings: list[Signal]) -> float:
     return rate
 
 
+
+
 def drive_streams(
     config: FleetConfig,
     detector: InaudibleVoiceDetector,
@@ -599,44 +591,29 @@ def drive_streams(
     recordings: list[Signal],
     attack_mask: np.ndarray,
     stream_seqs,
-    emit,
-) -> None:
+) -> list[StreamResult]:
     """Drive a partition of streams through lockstep stream groups.
 
-    The single streaming dispatcher: the unsharded simulator and every
-    shard worker (:func:`repro.stream.shard.run_shard`) route through
-    it, so each shard process runs its own groups over its own
-    partition. Groups are ``config.batch_streams`` wide, or one stream
-    wide when ``config.vectorized`` is off.
+    The single streaming dispatcher: every shard (:func:`run_shard`)
+    routes its partition through it. Groups are
+    ``config.batch_streams`` wide, or one stream wide when
+    ``config.vectorized`` is off.
 
     ``stream_indices[pos]`` is the *global* index of local position
     ``pos``; ``recordings``/``attack_mask`` are laid out per local
-    slot (``pos * utterances_per_stream`` onward). Every finished
-    stream's :class:`RawStreamRun` is handed to ``emit`` (a commit
-    queue's ``put``, or a plain list append) — completion order may
-    vary with threading, but each run's content never does.
+    slot (``pos * utterances_per_stream`` onward). Returns one
+    :class:`StreamResult` per stream, in local order.
     """
     from repro.stream import kernel  # deferred: kernel imports us
 
     per = config.utterances_per_stream
     n_local = len(stream_indices)
     width = config.batch_streams if config.vectorized else 1
-    # The nesting stack is thread-local: capture the dispatcher's
-    # parent here so pool threads attach their spans under it.
-    tracer = current_tracer()
-    dispatch_parent = (
-        tracer.current_parent() if tracer is not None else None
-    )
-
-    def drive_group(lo: int) -> None:
+    results: list[StreamResult] = []
+    for lo in range(0, n_local, width):
         positions = range(lo, min(lo + width, n_local))
-        context = (
-            tracer.attached(dispatch_parent)
-            if tracer is not None
-            else nullcontext()
-        )
-        with context:
-            runs, _ = kernel.drive_stream_group(
+        results.extend(
+            kernel.drive_stream_group(
                 config,
                 detector,
                 segmenter_config,
@@ -647,16 +624,273 @@ def drive_streams(
                 [attack_mask[pos * per : (pos + 1) * per] for pos in positions],
                 [stream_seqs[pos] for pos in positions],
             )
-        for run in runs:
-            emit(run)
+        )
+    return results
 
-    group_bounds = range(0, n_local, width)
-    if config.workers == 1 or len(group_bounds) == 1:
-        for lo in group_bounds:
-            drive_group(lo)
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard's picklable work unit.
+
+    Carries *recipes*, not waveforms: per-stream
+    :class:`~numpy.random.SeedSequence` children and per-slot class
+    flags. The executing process re-derives generators and
+    synthesises its own recordings (through the per-process emission
+    cache), so the pickle cost per shard is the detector plus a few
+    seed sequences — never audio.
+    """
+
+    config: FleetConfig
+    shard_index: int
+    stream_indices: tuple[int, ...]
+    stream_seqs: tuple[np.random.SeedSequence, ...]
+    #: Per stream, one SeedSequence per utterance slot.
+    slot_seqs: tuple[tuple[np.random.SeedSequence, ...], ...]
+    #: Per stream, one is-attack flag per utterance slot.
+    slot_attacks: tuple[tuple[bool, ...], ...]
+    detector: InaudibleVoiceDetector
+    segmenter_config: SegmenterConfig | None
+    #: Coordinator-side tracing request. Pool workers cannot see the
+    #: coordinator's ambient tracer, so the flag travels with the
+    #: task; a traced shard returns its spans in the result for the
+    #: coordinator to adopt. Never affects stream outcomes.
+    trace: bool = False
+
+    def __post_init__(self) -> None:
+        lengths = {
+            len(self.stream_indices),
+            len(self.stream_seqs),
+            len(self.slot_seqs),
+            len(self.slot_attacks),
+        }
+        if lengths != {len(self.stream_indices)}:
+            raise StreamError(
+                "shard task stream fields must be parallel: got "
+                f"lengths {sorted(lengths)}"
+            )
+        if not self.stream_indices:
+            raise StreamError("a shard needs at least one stream")
+
+
+@dataclass
+class ShardResult:
+    """One shard's merged-ready outcome slice."""
+
+    shard_index: int
+    sample_rate: float
+    streams: list[StreamResult]
+    prepare_seconds: float
+    wall_seconds: float
+    #: The shard's trace (empty unless the task asked for one); the
+    #: coordinator re-bases these into its own trace with fresh,
+    #: non-overlapping span ids.
+    spans: list[Span] = field(default_factory=list)
+
+
+def run_shard(task: ShardTask) -> ShardResult:
+    """Execute one shard: synthesise its slice, stream every device.
+
+    Module-level so the process pool pickles it by reference; a
+    single shard and the hypothesis partition property call it
+    inline, so every shard count runs the identical code path. With
+    ``task.trace`` set the whole shard runs under a fresh local
+    tracer — a ``shard`` root span with the synthesis, kernel-cycle
+    and utterance spans nested below — and ships its spans home in
+    the result.
+    """
+    if not task.trace:
+        return _run_shard_body(task)
+    local = Tracer()
+    with activate_tracer(local):
+        with local.span(
+            "shard",
+            shard=task.shard_index,
+            streams=len(task.stream_indices),
+        ):
+            result = _run_shard_body(task)
+    result.spans = local.spans
+    return result
+
+
+def _run_shard_body(task: ShardTask) -> ShardResult:
+    config = task.config
+    rng_children = [
+        np.random.default_rng(seq)
+        for stream in task.slot_seqs
+        for seq in stream
+    ]
+    attack_mask = np.array(
+        [flag for stream in task.slot_attacks for flag in stream],
+        dtype=bool,
+    )
+    prepare_started = time.perf_counter()
+    with maybe_span("synthesize", slots=len(rng_children)):
+        recordings, recognizer = synthesize_utterances(
+            config.scenario,
+            config.command,
+            config.distance_m,
+            rng_children,
+            attack_mask,
+            voice_seed=config.seed,
+        )
+    prepare_seconds = time.perf_counter() - prepare_started
+    rate = check_fleet_rate(recordings)
+
+    started = time.perf_counter()
+    streams = drive_streams(
+        config,
+        task.detector,
+        task.segmenter_config,
+        task.stream_indices,
+        rate,
+        recognizer,
+        recordings,
+        attack_mask,
+        task.stream_seqs,
+    )
+    wall_seconds = time.perf_counter() - started
+    return ShardResult(
+        shard_index=task.shard_index,
+        sample_rate=rate,
+        streams=streams,
+        prepare_seconds=prepare_seconds,
+        wall_seconds=wall_seconds,
+    )
+
+
+class ShardAccumulator:
+    """Mergeable fleet accumulator: shard slices in, one report out.
+
+    Order-insensitive (shards arrive as they finish) and validating:
+    a duplicate stream index fails at :meth:`add`, a missing one at
+    :meth:`report` — a shard can never be silently dropped or double
+    counted.
+    """
+
+    def __init__(self, n_streams: int) -> None:
+        self.n_streams = n_streams
+        self._streams: dict[int, StreamResult] = {}
+        self._rate: float | None = None
+        self._prepare: list[float] = []
+        self._walls: dict[int, float] = {}
+
+    def add(self, result: ShardResult) -> None:
+        """Fold one shard's slice in (any completion order)."""
+        if self._rate is None:
+            self._rate = result.sample_rate
+        elif result.sample_rate != self._rate:
+            raise StreamError(
+                "shards disagree on the device rate: "
+                f"{result.sample_rate} vs {self._rate}"
+            )
+        for stream in result.streams:
+            if not 0 <= stream.index < self.n_streams:
+                raise StreamError(
+                    f"shard {result.shard_index} produced stream "
+                    f"{stream.index}, outside the fleet's "
+                    f"{self.n_streams} streams"
+                )
+            if stream.index in self._streams:
+                raise StreamError(
+                    f"stream {stream.index} produced by two shards — "
+                    "the partition overlaps"
+                )
+            self._streams[stream.index] = stream
+        self._prepare.append(result.prepare_seconds)
+        self._walls[result.shard_index] = result.wall_seconds
+
+    def report(self, config: FleetConfig) -> FleetReport:
+        """The merged fleet report, in stream-index order, timed by
+        the slowest shard's streaming wall — the steady-state
+        critical path."""
+        missing = [
+            index
+            for index in range(self.n_streams)
+            if index not in self._streams
+        ]
+        if missing:
+            raise StreamError(
+                f"streams {missing} missing — the shard partition "
+                "does not cover the fleet"
+            )
+        shard_walls = tuple(
+            self._walls[index] for index in sorted(self._walls)
+        )
+        return FleetReport(
+            config=config,
+            sample_rate=self._rate,
+            streams=[
+                self._streams[index]
+                for index in range(self.n_streams)
+            ],
+            prepare_seconds=max(self._prepare, default=0.0),
+            wall_seconds=max(shard_walls, default=0.0),
+            shard_wall_seconds=shard_walls,
+        )
+
+
+def plan_shards(
+    detector: InaudibleVoiceDetector,
+    config: FleetConfig,
+    segmenter_config: SegmenterConfig | None = None,
+    partitions: Sequence[Sequence[int]] | None = None,
+    trace: bool = False,
+) -> list[ShardTask]:
+    """Deterministic shard tasks for one fleet config.
+
+    By default streams are split into ``config.shards`` contiguous,
+    near-equal partitions (:func:`~repro.sim.engine.partition_evenly`
+    — a pure function of the counts, never of worker scheduling).
+    ``partitions`` overrides the layout with any disjoint cover of
+    the stream indices, which is how the hypothesis property asserts
+    that *every* partition merges to the same digest.
+    """
+    attack_mask, trial_seqs, stream_seqs = fleet_seed_plan(config)
+    per = config.utterances_per_stream
+    if partitions is None:
+        partitions = partition_evenly(
+            list(range(config.n_streams)), config.shards
+        )
+    tasks = []
+    for shard_index, indices in enumerate(partitions):
+        indices = tuple(int(i) for i in indices)
+        tasks.append(
+            ShardTask(
+                config=config,
+                shard_index=shard_index,
+                stream_indices=indices,
+                stream_seqs=tuple(stream_seqs[i] for i in indices),
+                slot_seqs=tuple(
+                    tuple(trial_seqs[i * per : (i + 1) * per])
+                    for i in indices
+                ),
+                slot_attacks=tuple(
+                    tuple(
+                        bool(flag)
+                        for flag in attack_mask[i * per : (i + 1) * per]
+                    )
+                    for i in indices
+                ),
+                detector=detector,
+                segmenter_config=segmenter_config,
+                trace=trace,
+            )
+        )
+    return tasks
+
+
+def _shard_results(tasks: list[ShardTask]):
+    """Each task's result as it finishes: inline for one task (no
+    executor, no pickling), else one process per shard, up to the
+    core count."""
+    if len(tasks) == 1:
+        yield run_shard(tasks[0])
         return
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        list(pool.map(drive_group, group_bounds))
+    max_workers = min(len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        futures = [pool.submit(run_shard, task) for task in tasks]
+        for future in as_completed(futures):
+            yield future.result()
 
 
 class FleetSimulator:
@@ -666,9 +900,10 @@ class FleetSimulator:
     ----------
     detector:
         A fitted :class:`~repro.defense.detector.InaudibleVoiceDetector`
-        shared read-only by every stream's guard.
+        shared read-only by every stream's guard (pickled once per
+        shard process).
     config:
-        The fleet recipe.
+        The fleet recipe; ``config.shards`` sets the parallelism.
     segmenter_config:
         Optional gate tuning shared by every stream.
     """
@@ -683,68 +918,32 @@ class FleetSimulator:
         self.config = config
         self.segmenter_config = segmenter_config
 
-    # -- the run -------------------------------------------------------
-
     def run(self) -> FleetReport:
-        """Synthesise, stream and decide the whole fleet.
+        """Plan, run and merge the shards of the whole fleet.
 
-        Run it under a :class:`~repro.obs.trace.Tracer` for the
-        stream groups' per-stage wall time:
+        Run it under a :class:`~repro.obs.trace.Tracer` for a
+        ``fleet`` span with each ``shard`` below it, and the stream
+        groups' per-stage wall time below those:
         :meth:`~repro.sim.pipeline.StageProfile.from_spans` attributes
         ingestion vs segmentation vs Welch vs decide cost.
         """
         config = self.config
+        tracer = current_tracer()
+        tasks = plan_shards(
+            self.detector,
+            config,
+            self.segmenter_config,
+            trace=tracer is not None,
+        )
+        accumulator = ShardAccumulator(config.n_streams)
         with maybe_span(
-            "fleet",
-            streams=config.n_streams,
-            vectorized=config.vectorized,
-        ):
-            attack_mask, trial_seqs, stream_seqs = fleet_seed_plan(
-                config
-            )
-            trial_rngs = [
-                np.random.default_rng(child) for child in trial_seqs
-            ]
-
-            prepare_started = time.perf_counter()
-            with maybe_span("synthesize", slots=len(trial_rngs)):
-                recordings, recognizer = synthesize_utterances(
-                    config.scenario,
-                    config.command,
-                    config.distance_m,
-                    trial_rngs,
-                    attack_mask,
-                    voice_seed=config.seed,
-                )
-            prepare_seconds = time.perf_counter() - prepare_started
-            rate = check_fleet_rate(recordings)
-
-            raw_runs: list[RawStreamRun] = []
-            started = time.perf_counter()
-            drive_streams(
-                config,
-                self.detector,
-                self.segmenter_config,
-                range(config.n_streams),
-                rate,
-                recognizer,
-                recordings,
-                attack_mask,
-                stream_seqs,
-                raw_runs.append,
-            )
-            wall_seconds = time.perf_counter() - started
-            results = [
-                raw.commit()
-                for raw in sorted(raw_runs, key=lambda raw: raw.index)
-            ]
-            report = FleetReport(
-                config=config,
-                sample_rate=rate,
-                streams=results,
-                prepare_seconds=prepare_seconds,
-                wall_seconds=wall_seconds,
-            )
+            "fleet", shards=len(tasks), streams=config.n_streams
+        ) as fleet_span:
+            for result in _shard_results(tasks):
+                accumulator.add(result)
+                if result.spans:
+                    tracer.adopt(result.spans, parent_id=fleet_span)
+            report = accumulator.report(config)
         registry = current_metrics()
         if registry is not None:
             report.record_metrics(registry)

@@ -75,8 +75,9 @@ from repro.stream.chunker import ChunkedStreamBatch
 from repro.stream.features import WelchAccumulator, welch_segment_psd
 from repro.stream.fleet import (
     FleetConfig,
-    RawStreamRun,
+    StreamResult,
     TimelineSource,
+    UtteranceDigest,
 )
 from repro.stream.segmenter import (
     BatchClosed,
@@ -267,15 +268,13 @@ class StreamGroup:
         self._ragged = False
         self._open_welch: list[WelchAccumulator | None] = [None] * n_group
 
-    def stage(self, name: str, started: float) -> float:
-        """Close one stage window opened at ``started``; returns its
-        seconds (a span under the group span when tracing)."""
-        ended = time.perf_counter()
+    def stage(self, name: str, started: float) -> None:
+        """Close one stage window opened at ``started`` (a span under
+        the group span when tracing)."""
         if self._tracer is not None:
             self._tracer.record(
-                name, started, ended, parent_id=self._group_id
+                name, started, time.perf_counter(), parent_id=self._group_id
             )
-        return ended - started
 
     def push(
         self, block: np.ndarray, real: np.ndarray
@@ -474,7 +473,7 @@ def drive_stream_group(
     recordings_by_stream: list[list[Signal]],
     attack_by_stream: list[np.ndarray],
     seed_seqs: list[np.random.SeedSequence],
-) -> tuple[list[RawStreamRun], float]:
+) -> list[StreamResult]:
     """Drive a group of streams in lockstep through their timelines.
 
     ``indices`` are the global stream indices of the group, and entry
@@ -494,9 +493,8 @@ def drive_stream_group(
     :meth:`~repro.sim.pipeline.StageProfile.from_spans` folds them into
     the per-stage breakdown.
 
-    Returns ``(runs, assemble_seconds)`` — the second element is the
-    summed wall time of the ``assemble`` windows, the share of the
-    group's wall spent generating its workload.
+    Returns one :class:`~repro.stream.fleet.StreamResult` per stream,
+    in group order.
     """
     n_group = len(indices)
     if not (
@@ -528,8 +526,8 @@ def drive_stream_group(
     chunk = max(1, int(round(config.chunk_s * rate)))
     block = np.zeros((n_group, chunk), dtype=np.float64)
     real = np.zeros(n_group, dtype=np.int64)
-    outcomes: list[list[UtteranceOutcome]] = [[] for _ in range(n_group)]
-    assemble_seconds = group.stage("assemble", started)
+    digests: list[list[UtteranceDigest]] = [[] for _ in range(n_group)]
+    group.stage("assemble", started)
     for head in range(0, max_len, chunk):
         started = time.perf_counter()
         cycle = block[:, : min(chunk, max_len - head)]
@@ -537,17 +535,17 @@ def drive_stream_group(
             # An ended row's tail keeps whatever the block last held:
             # the group never reads past a row's real samples.
             real[b] = source.read_into(cycle[b])
-        assemble_seconds += group.stage("assemble", started)
+        group.stage("assemble", started)
         for b, closed in enumerate(group.push(cycle, real)):
-            outcomes[b].extend(closed)
+            digests[b].extend(map(UtteranceDigest.of, closed))
     for b, closed in enumerate(group.flush()):
-        outcomes[b].extend(closed)
+        digests[b].extend(map(UtteranceDigest.of, closed))
     return [
-        RawStreamRun(
+        StreamResult(
             index=int(indices[b]),
             is_attack=tuple(bool(flag) for flag in attack_by_stream[b]),
             duration_s=lengths[b] / rate,
-            outcomes=outcomes[b],
+            utterances=tuple(digests[b]),
         )
         for b in range(n_group)
-    ], assemble_seconds
+    ]

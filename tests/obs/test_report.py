@@ -17,7 +17,7 @@ def synthetic_trace() -> Tracer:
     """A miniature two-shard trace with utterance latency markers."""
     tracer = Tracer()
     with tracer.span("experiment", experiment="S1"):
-        with tracer.span("sharded-fleet", shards=2):
+        with tracer.span("fleet", shards=2):
             for shard in range(2):
                 with tracer.span(
                     "shard", shard=shard, streams=2

@@ -5,8 +5,8 @@ with invariants that must hold for *any* environment it composes:
 
 * **seed stability** — ``generate_scenario(seed)`` is a pure function
   of the seed: identical field-for-field across repeated calls and
-  across a subprocess boundary (the engine's workers and the shard
-  subprocesses receive only the ``random:<seed>`` string);
+  across a subprocess boundary (the engine's workers and the fleet's
+  shard processes receive only the ``random:<seed>`` string);
 * **chunking invariance** — the trial pipeline gives bitwise the same
   outcomes for every chunk size in every generated environment;
 * **jobs determinism** — fanning a generated scenario over a worker
@@ -14,7 +14,7 @@ with invariants that must hold for *any* environment it composes:
 * **guard parity** — the streaming guard's verdict matches the
   offline guard exactly in a generated environment;
 * **shard digests** — partitioning the fleet over a generated
-  scenario merges to the unsharded digest.
+  scenario merges to the single-shard digest.
 
 Plus unit coverage for the ``random:<seed>`` parser, the registry
 error paths and the grammar's validity-by-construction bounds. The
@@ -66,10 +66,12 @@ from repro.sim.spec import (
 from repro.stream.fleet import (
     FleetConfig,
     FleetSimulator,
+    ShardAccumulator,
+    plan_shards,
+    run_shard,
     synthesize_utterances,
 )
 from repro.stream.guard import StreamingGuard
-from repro.stream.shard import ShardAccumulator, plan_shards, run_shard
 
 #: Property example budget — CI's fuzz-smoke job raises it, local
 #: runs keep the default.
@@ -384,7 +386,6 @@ class TestStreamingOracle:
             utterances_per_stream=1,
             attack_fraction=0.5,
             seed=9,
-            workers=1,
             scenario=STREAM_FUZZ_NAME,
         )
         reference = FleetSimulator(fuzz_detector, config).run()

@@ -120,7 +120,7 @@ def index_partitions(draw, n: int, max_parts: int = 4):
 
     Drives the sharded-fleet property: any way of assigning streams
     to shards (contiguous or not, sorted or not) must merge to the
-    same fleet digest as the unsharded simulator.
+    same fleet digest as the fleet run as one shard.
     """
     if n < 1:
         raise ValueError("index_partitions needs n >= 1")

@@ -1,4 +1,4 @@
-"""Fleet simulator: worker-count determinism, report integrity, wall
+"""Fleet simulator: shard-count determinism, report integrity, wall
 accounting and the block-by-block timeline source.
 
 The ``FUZZ_EXAMPLES`` environment variable scales the source's
@@ -23,31 +23,31 @@ from repro.stream.fleet import (
     TimelineSource,
     assemble_timeline,
 )
-from repro.stream.shard import ShardedFleetSimulator
 
 FUZZ_EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "6"))
 
 
 @pytest.fixture(scope="module")
 def fleet_reports(stream_detector):
-    """The same small fleet run at several worker counts."""
+    """The same small fleet run at several shard counts."""
     reports = {}
-    for workers in (1, 3):
+    for shards in (1, 3):
         config = FleetConfig(
             n_streams=4,
             utterances_per_stream=2,
             attack_fraction=0.5,
             seed=9,
-            workers=workers,
+            shards=shards,
         )
-        reports[workers] = FleetSimulator(stream_detector, config).run()
+        reports[shards] = FleetSimulator(stream_detector, config).run()
     return reports
 
 
 class TestDeterminism:
     def test_worker_count_never_changes_results(self, fleet_reports):
         """Verdicts, boundaries and latencies are identical for every
-        worker count — threads change wall clock, not science."""
+        worker-process (shard) count — processes change wall clock,
+        not science."""
         assert (
             fleet_reports[1].digest() == fleet_reports[3].digest()
         )
@@ -58,7 +58,6 @@ class TestDeterminism:
             utterances_per_stream=2,
             attack_fraction=0.5,
             seed=9,
-            workers=2,
         )
         again = FleetSimulator(stream_detector, config).run()
         assert again.digest() == fleet_reports[1].digest()
@@ -118,35 +117,28 @@ class TestReport:
 
 class TestWallAccounting:
     @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_wall_seconds_is_inside_the_outer_wall(
-        self, stream_detector, workers, shards
+        self, stream_detector, shards
     ):
         """The headline wall is the streaming phase's own wall clock:
         positive, and never more than a wall timed around the whole
-        run, whatever the thread and shard counts (groups of one, so
-        the threads have groups to share)."""
-        # Long idle gaps make the timeline draws a large share of
-        # every thread's time, so per-thread windows overlap the most.
+        run, whatever the shard count (groups of one, long idle gaps,
+        so timeline draws are a large share of every group's time)."""
         config = FleetConfig(
             n_streams=4,
             utterances_per_stream=1,
             gap_s=10.0,
             seed=9,
-            workers=workers,
             shards=shards,
             batch_streams=1,
         )
         started = time.perf_counter()
-        report = ShardedFleetSimulator(stream_detector, config).run()
+        report = FleetSimulator(stream_detector, config).run()
         outer = time.perf_counter() - started
         assert 0 < report.wall_seconds <= outer
         assert 0 < report.prepare_seconds <= outer
+        assert len(report.shard_wall_seconds) == shards
         if shards == 1:
-            started = time.perf_counter()
-            report = FleetSimulator(stream_detector, config).run()
-            outer = time.perf_counter() - started
-            assert 0 < report.wall_seconds <= outer
             assert report.wall_seconds + report.prepare_seconds <= outer
 
 
@@ -162,6 +154,10 @@ class TestConfigValidation:
             FleetConfig(background_ratio=0.0)
         with pytest.raises(StreamError):
             FleetConfig(workers=0)
+        # workers survives only as the constant 1: the fleet's one
+        # parallelism is shards.
+        with pytest.raises(StreamError, match="shards"):
+            FleetConfig(workers=2)
         with pytest.raises(StreamError):
             FleetConfig(shards=0)
 

@@ -49,7 +49,6 @@ from repro.stream.segmenter import (
     OnlineSegmenterBatch,
     SegmenterConfig,
 )
-from repro.stream.shard import ShardedFleetSimulator
 
 FUZZ_EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "6"))
 
@@ -59,7 +58,6 @@ CONFIG = FleetConfig(
     utterances_per_stream=1,
     attack_fraction=0.5,
     seed=9,
-    workers=1,
 )
 
 
@@ -72,7 +70,6 @@ def per_stream_report(stream_detector):
         utterances_per_stream=CONFIG.utterances_per_stream,
         attack_fraction=CONFIG.attack_fraction,
         seed=CONFIG.seed,
-        workers=CONFIG.workers,
         vectorized=False,
     )
     return FleetSimulator(stream_detector, config).run()
@@ -116,9 +113,9 @@ class TestKernelDigestParity:
             fleet_inputs
         )
         per = CONFIG.utterances_per_stream
-        raw_runs = []
+        results = []
         for group in partition:
-            runs, _ = kernel.drive_stream_group(
+            results += kernel.drive_stream_group(
                 CONFIG,
                 stream_detector,
                 None,
@@ -135,11 +132,7 @@ class TestKernelDigestParity:
                 ],
                 [stream_seqs[pos] for pos in group],
             )
-            raw_runs.extend(runs)
-        merged = [
-            raw.commit()
-            for raw in sorted(raw_runs, key=lambda raw: raw.index)
-        ]
+        merged = sorted(results, key=lambda result: result.index)
         reference = per_stream_report.digest()
         assert (
             tuple(
@@ -169,7 +162,6 @@ class TestKernelDigestParity:
             utterances_per_stream=CONFIG.utterances_per_stream,
             attack_fraction=CONFIG.attack_fraction,
             seed=CONFIG.seed,
-            workers=CONFIG.workers,
             vectorized=True,
             batch_streams=batch_streams,
         )
@@ -187,7 +179,6 @@ class TestKernelDigestParity:
                 utterances_per_stream=2,
                 attack_fraction=0.5,
                 seed=11,
-                workers=1,
                 vectorized=vectorized,
                 batch_streams=2,
             )
@@ -223,14 +214,10 @@ class TestKernelDigestParity:
                 utterances_per_stream=1,
                 attack_fraction=0.5,
                 seed=2,
-                workers=2,
                 shards=shards if vectorized else 1,
                 vectorized=vectorized,
             )
-            simulator = (
-                ShardedFleetSimulator if config.shards > 1 else FleetSimulator
-            )
-            reports[vectorized] = simulator(detector, config).run()
+            reports[vectorized] = FleetSimulator(detector, config).run()
         kernel_streams = reports[True].streams
         loop_streams = reports[False].streams
         assert len(kernel_streams) == len(loop_streams) == n_streams
@@ -263,7 +250,7 @@ class TestStreamGroup:
             )
             tracemalloc.start()
             try:
-                runs, _ = kernel.drive_stream_group(
+                runs = kernel.drive_stream_group(
                     config,
                     stream_detector,
                     None,
@@ -383,7 +370,7 @@ class TestStreamGroup:
             )
             tracemalloc.start()
             try:
-                runs, _ = kernel.drive_stream_group(
+                runs = kernel.drive_stream_group(
                     config,
                     stream_detector,
                     None,
@@ -397,7 +384,7 @@ class TestStreamGroup:
                 peaks[per] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert [len(run.outcomes) for run in runs] == [per] * n_group
+            assert [len(run.utterances) for run in runs] == [per] * n_group
         extra = utterance_bytes[16] - utterance_bytes[2]
         assert extra > 50e6
         assert peaks[16] - peaks[2] < 0.1 * extra

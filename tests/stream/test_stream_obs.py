@@ -8,8 +8,8 @@ Three contracts from the ``repro.obs`` integration:
 * **completeness** — the trace carries every stream-kernel stage and
   one utterance marker per segmented utterance;
 * **shard-boundary attribution** — spans recorded inside pool-worker
-  shards come home in the :class:`~repro.stream.shard.ShardResult`
-  and merge under the coordinator's ``sharded-fleet`` span with
+  shards come home in the :class:`~repro.stream.fleet.ShardResult`
+  and merge under the coordinator's ``fleet`` span with
   non-overlapping ids and intact nesting.
 """
 
@@ -21,9 +21,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import activate as activate_metrics
 from repro.obs.trace import Tracer, activate
 from repro.sim.pipeline import StageProfile
-from repro.stream.fleet import FleetConfig, FleetSimulator
-from repro.stream.shard import (
-    ShardedFleetSimulator,
+from repro.stream.fleet import (
+    FleetConfig,
+    FleetSimulator,
     plan_shards,
     run_shard,
 )
@@ -40,7 +40,6 @@ def small_config(**overrides) -> FleetConfig:
         utterances_per_stream=2,
         attack_fraction=0.5,
         seed=9,
-        workers=2,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
@@ -80,9 +79,7 @@ class TestBitwiseInertness:
         tracer = Tracer()
         config = small_config(shards=2)
         with activate(tracer):
-            report = ShardedFleetSimulator(
-                stream_detector, config
-            ).run()
+            report = FleetSimulator(stream_detector, config).run()
         assert report.digest() == untraced_digest
 
 
@@ -96,6 +93,10 @@ class TestCompleteness:
                 stream_detector, small_config()
             ).run()
         names = spans_by_name(tracer.spans)
+        roots = [span for span in tracer.spans if span.parent_id is None]
+        assert [(root.name, root.attrs["shards"]) for root in roots] == [
+            ("fleet", 1)
+        ]
         assert KERNEL_STAGES <= set(names)
         utterances = names["utterance"]
         assert len(utterances) == report.n_utterances
@@ -113,7 +114,7 @@ class TestCompleteness:
         with activate(tracer):
             FleetSimulator(
                 stream_detector,
-                small_config(n_streams=3, batch_streams=2, workers=1),
+                small_config(n_streams=3, batch_streams=2),
             ).run()
         rows = [
             row
@@ -188,17 +189,17 @@ class TestShardBoundary:
     ):
         """Two real pool processes; their locally-rooted spans arrive
         re-based with fresh, non-overlapping ids, shard spans under
-        ``sharded-fleet``, kernel stages under their own shard."""
+        the one ``fleet`` root, kernel stages under their own shard."""
         tracer = Tracer()
         config = small_config(shards=2)
         with activate(tracer):
-            report = ShardedFleetSimulator(
-                stream_detector, config
-            ).run()
+            report = FleetSimulator(stream_detector, config).run()
         spans = tracer.spans
         assert len({span.span_id for span in spans}) == len(spans)
         names = spans_by_name(spans)
-        fleet = names["sharded-fleet"][0]
+        [fleet] = names["fleet"]
+        assert fleet.parent_id is None
+        assert fleet.attrs["shards"] == 2
         shards = names["shard"]
         assert sorted(s.attrs["shard"] for s in shards) == [0, 1]
         assert {s.parent_id for s in shards} == {fleet.span_id}

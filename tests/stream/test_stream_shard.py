@@ -1,14 +1,14 @@
-"""Sharded fleet driver: partition invariance, merging, commit queue.
+"""Sharded fleet: partition invariance, planning and merging.
 
-The core claim of :mod:`repro.stream.shard` is that sharding is pure
-plumbing — *any* partition of the fleet's streams into shards, run
-through the per-shard synthesis + streaming loop and merged by the
-accumulator, is bitwise identical to the unsharded
-:class:`~repro.stream.fleet.FleetSimulator`. A hypothesis property
-pins it over random partitions (non-contiguous, unordered), a
+The core claim of the fleet's sharding is that it is pure plumbing —
+*any* partition of the fleet's streams into shards, run through the
+per-shard synthesis + streaming loop and merged by the accumulator,
+is bitwise identical to the fleet run as one shard. A hypothesis
+property pins it over random partitions (non-contiguous, unordered),
+a single-shard test pins the inline run
+:class:`~repro.stream.fleet.FleetSimulator` makes at ``shards=1``, a
 process-pool test pins the real executor path, and unit tests nail
-the accumulator's double-count/missing-stream validation and the
-commit queue's draining semantics.
+the accumulator's double-count/missing-stream validation.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from strategies import index_partitions
 
 from repro.errors import StreamError
-from repro.stream.fleet import FleetConfig, FleetSimulator
-from repro.stream.shard import (
-    CommitQueue,
+from repro.stream.fleet import (
+    FleetConfig,
+    FleetSimulator,
     ShardAccumulator,
-    ShardedFleetSimulator,
     ShardResult,
     ShardTask,
     plan_shards,
@@ -35,13 +34,12 @@ CONFIG = FleetConfig(
     utterances_per_stream=1,
     attack_fraction=0.5,
     seed=9,
-    workers=1,
 )
 
 
 @pytest.fixture(scope="module")
 def unsharded_report(stream_detector):
-    """The reference: the same fleet through the unsharded loop."""
+    """The reference: the same fleet run as one shard."""
     return FleetSimulator(stream_detector, CONFIG).run()
 
 
@@ -83,10 +81,16 @@ class TestPartitionInvariance:
     def test_single_shard_simulator_matches(
         self, stream_detector, unsharded_report
     ):
-        """shards=1 (the in-process degenerate case) is bitwise equal
-        to FleetSimulator."""
-        report = ShardedFleetSimulator(stream_detector, CONFIG).run()
-        assert report.digest() == unsharded_report.digest()
+        """shards=1 (the inline degenerate case, no executor) is
+        bitwise equal to the one-shard plan run and merged by hand,
+        and reports exactly one shard wall clock."""
+        accumulator = ShardAccumulator(CONFIG.n_streams)
+        (task,) = plan_shards(stream_detector, CONFIG)
+        accumulator.add(run_shard(task))
+        merged = accumulator.report(CONFIG)
+        assert unsharded_report.digest() == merged.digest()
+        assert _dispositions(unsharded_report) == _dispositions(merged)
+        assert len(unsharded_report.shard_wall_seconds) == 1
 
     def test_process_pool_matches(
         self, stream_detector, unsharded_report
@@ -98,10 +102,9 @@ class TestPartitionInvariance:
             utterances_per_stream=1,
             attack_fraction=0.5,
             seed=9,
-            workers=1,
             shards=2,
         )
-        report = ShardedFleetSimulator(stream_detector, config).run()
+        report = FleetSimulator(stream_detector, config).run()
         assert report.digest() == unsharded_report.digest()
         assert len(report.shard_wall_seconds) == 2
         assert all(w > 0 for w in report.shard_wall_seconds)
@@ -202,34 +205,3 @@ class TestAccumulator:
         assert merged.shard_wall_seconds == (0.2, 0.2)
         assert merged.wall_seconds == 0.2
 
-
-class TestCommitQueue:
-    def test_commits_in_put_order(self):
-        queue = CommitQueue(lambda x: x * 2)
-        for value in range(20):
-            queue.put(value)
-        assert queue.close() == [v * 2 for v in range(20)]
-
-    def test_close_is_idempotent(self):
-        queue = CommitQueue(lambda x: x)
-        queue.put(1)
-        assert queue.close() == [1]
-        assert queue.close() == [1]
-
-    def test_put_after_close_rejected(self):
-        queue = CommitQueue(lambda x: x)
-        queue.close()
-        with pytest.raises(StreamError):
-            queue.put(1)
-
-    def test_commit_error_surfaces_at_close(self):
-        def explode(value):
-            if value == 2:
-                raise ValueError("boom")
-            return value
-
-        queue = CommitQueue(explode)
-        for value in range(5):
-            queue.put(value)
-        with pytest.raises(ValueError, match="boom"):
-            queue.close()
