@@ -13,8 +13,7 @@ installed:
   ambient hook the instrumented layers consult.
 * :mod:`repro.obs.metrics` — a metrics registry: counters, gauges and
   exact-quantile latency recorders (p50/p90/p99/p99.9 computed from
-  the raw samples, with an opt-in bounded-memory reservoir mode for
-  unbounded streams).
+  the raw samples).
 * :mod:`repro.obs.report` — the reporter behind
   ``python -m repro.obs report <trace.jsonl>``: a text
   flamegraph-style stage tree, latency percentiles and histogram,

@@ -9,23 +9,10 @@ A :class:`MetricsRegistry` is a flat name → instrument map:
   linear interpolation, so percentile rows in reports are not
   sketch approximations.
 
-Exact mode is the default and is right for this repository's scale
-(thousands of utterances per fleet run). For unbounded streams — the
-ROADMAP's future socket front door — construct the recorder with
-``max_samples=N`` to switch to reservoir sampling (Algorithm R with a
-dedicated, deterministic ``numpy`` generator, seeded per-recorder):
-memory is bounded at ``N`` samples while ``count``/``total`` stay
-exact. A reservoir quantile is then an estimate from ``N`` uniform
-samples; its standard error at quantile ``q`` is on the order of
-``sqrt(q * (1 - q) / N)`` in rank space — about ±1.6 rank-percentiles
-at the median for ``N = 1000``. Tail quantiles beyond ``1 - 1/N``
-are not resolvable from the reservoir; size it for the tail you care
-about (``N >= 10_000`` for a trustworthy p99.9).
-
-The reservoir's generator is private to the recorder and seeded from
-the recorder name, so enabling metrics never perturbs experiment
-RNG streams — the registry obeys the same bitwise-inertness contract
-as the tracer.
+Keeping every sample is right for this repository's scale (thousands
+of utterances per fleet run). The registry draws no randomness, so
+enabling metrics never perturbs experiment RNG streams — it obeys the
+same bitwise-inertness contract as the tracer.
 
 Like tracing, metrics are ambient: instrumented code consults
 :func:`current_metrics` (usually ``None``) and :func:`activate`
@@ -87,51 +74,21 @@ class Gauge:
 
 
 class LatencyRecorder:
-    """Raw-sample latency distribution with exact quantiles.
+    """Raw-sample latency distribution with exact quantiles: every
+    observation is kept, and :meth:`quantile` is ``numpy.quantile`` of
+    them."""
 
-    Default (``max_samples=None``): every observation is kept and
-    :meth:`quantile` is exact. With ``max_samples=N``: Algorithm R
-    reservoir sampling bounds memory at ``N`` observations while
-    ``count`` and ``total`` remain exact; quantiles become estimates
-    (error documented in the module docstring).
-    """
-
-    def __init__(
-        self, name: str, *, max_samples: int | None = None
-    ) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(
-                f"recorder {name!r}: max_samples must be >= 1"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.max_samples = max_samples
         self.count = 0
         self.total = 0.0
         self._samples: list[float] = []
-        # Private, deterministically seeded generator: reservoir
-        # eviction draws never touch experiment RNG streams.
-        self._rng = (
-            np.random.default_rng(
-                np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
-            )
-            if max_samples is not None
-            else None
-        )
 
     def observe(self, value: float) -> None:
         value = float(value)
         self.count += 1
         self.total += value
-        if self.max_samples is None or len(self._samples) < (
-            self.max_samples
-        ):
-            self._samples.append(value)
-            return
-        # Algorithm R: the i-th observation (1-based) replaces a
-        # random reservoir slot with probability max_samples / i.
-        slot = int(self._rng.integers(self.count))
-        if slot < self.max_samples:
-            self._samples[slot] = value
+        self._samples.append(value)
 
     def observe_many(self, values: Sequence[float]) -> None:
         for value in np.asarray(values, dtype=float).ravel():
@@ -139,7 +96,7 @@ class LatencyRecorder:
 
     @property
     def samples(self) -> list[float]:
-        """The retained samples (all of them in exact mode)."""
+        """Every observed sample, in observation order."""
         return list(self._samples)
 
     @property
@@ -173,12 +130,7 @@ class LatencyRecorder:
         return out
 
     def as_dict(self) -> dict[str, Any]:
-        row: dict[str, Any] = {
-            "type": "latency",
-            "exact": self.max_samples is None,
-        }
-        if self.max_samples is not None:
-            row["max_samples"] = self.max_samples
+        row: dict[str, Any] = {"type": "latency"}
         if self.count:
             row.update(self.summary())
         else:
@@ -193,11 +145,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | LatencyRecorder] = {}
 
-    def _get(self, name: str, kind: type, **kwargs: Any) -> Any:
+    def _get(self, name: str, kind: type) -> Any:
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = kind(name, **kwargs)
+                instrument = kind(name)
                 self._instruments[name] = instrument
             elif not isinstance(instrument, kind):
                 raise TypeError(
@@ -212,10 +164,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def latency(
-        self, name: str, *, max_samples: int | None = None
-    ) -> LatencyRecorder:
-        return self._get(name, LatencyRecorder, max_samples=max_samples)
+    def latency(self, name: str) -> LatencyRecorder:
+        return self._get(name, LatencyRecorder)
 
     def names(self) -> list[str]:
         with self._lock:

@@ -23,12 +23,15 @@ even the timestamp reads — instrumentation is zero-cost when
 disabled.
 
 Process-pool workers do **not** see the parent's ambient tracer (and
-must not rely on fork-time snapshots of it). Instead the dispatch
-layer passes an explicit ``trace`` flag with each task; the worker
-builds a fresh local :class:`Tracer`, returns its spans alongside the
-result, and the coordinator re-bases them into its own trace with
-:meth:`Tracer.adopt` — allocating fresh, non-overlapping span ids so
-merged multi-shard traces stay a single consistent tree.
+must not rely on fork-time snapshots of it). The repository has one
+process boundary, :meth:`repro.sim.engine.ExperimentEngine.map`, and
+it carries the trace: under an active tracer each pooled task runs
+under a fresh worker-local :class:`Tracer`, its spans travel home
+with the result, and the caller re-bases them under its innermost
+open span with :meth:`Tracer.adopt` — allocating fresh,
+non-overlapping span ids so merged traces stay a single consistent
+tree, the same tree an inline run records. Task functions simply open
+their own spans with :func:`maybe_span`.
 
 Tracing is bitwise-inert by construction: a tracer only reads clocks
 and copies already-computed attribute values. Nothing in this module

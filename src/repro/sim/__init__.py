@@ -23,8 +23,8 @@
     with ``SeedSequence``-spawned per-trial streams (bit-identical for
     any ``jobs``) and a per-process emission/synthesis cache.
 ``sweep``
-    Parameter sweeps (distance, power, speaker count) built on the
-    engine, with emission caching so sweeps stay tractable.
+    The environment sweep (one attack across registered scenarios);
+    distance and range sweeps are :class:`ExperimentEngine` methods.
 ``results``
     Small result-table containers with aligned-text rendering used by
     the benchmarks and EXPERIMENTS.md.
@@ -77,12 +77,7 @@ from repro.sim.engine import (
     process_cache,
     stable_key,
 )
-from repro.sim.sweep import (
-    accuracy_over_distances,
-    attack_range_m,
-    success_rate,
-    success_rate_by_scenario,
-)
+from repro.sim.sweep import success_rate_by_scenario
 from repro.sim.results import ResultTable
 from repro.sim.bench import append_trajectory, machine_metadata
 
@@ -123,9 +118,6 @@ __all__ = [
     "register_scenario",
     "scenario_names",
     "stable_key",
-    "success_rate",
-    "accuracy_over_distances",
-    "attack_range_m",
     "success_rate_by_scenario",
     "ResultTable",
 ]

@@ -26,8 +26,8 @@ their noise draws. Three observations make the whole suite scale:
    operations.
 
 The engine is the substrate under :mod:`repro.sim.sweep`, all the
-``repro.experiments`` modules and the ``python -m repro.experiments``
-CLI (``--jobs``).
+``repro.experiments`` modules, the streaming fleet's shards and the
+``python -m repro.experiments`` CLI (``--jobs``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -44,7 +45,13 @@ from repro.acoustics.channel import PlacedSource
 from repro.dsp.signals import Signal
 from repro.errors import ExperimentError
 from repro.obs.metrics import current_metrics
-from repro.obs.trace import Tracer, activate as activate_tracer, current_tracer
+from repro.obs.trace import (
+    Span,
+    Tracer,
+    activate as activate_tracer,
+    current_tracer,
+    maybe_span,
+)
 from repro.sim.cache import CacheStats, EmissionCache, stable_key
 from repro.sim.pipeline import (
     TrialOutcome,
@@ -159,12 +166,9 @@ class _TrialTask:
     rngs: tuple[np.random.Generator, ...]
     keep_recordings: bool
     precision: str
-    trace: bool = False
 
 
-def _run_trial_batch(
-    task: _TrialTask,
-) -> list[TrialOutcome] | tuple[list[TrialOutcome], list]:
+def _run_trial_batch(task: _TrialTask) -> list[TrialOutcome]:
     """Worker: execute one chunk of a group's trials.
 
     Module-level so it pickles by reference; the emission is resolved
@@ -180,18 +184,13 @@ def _run_trial_batch(
     waveform *before* it is pickled back — at 50 trials per cell the
     recordings, not the results, are the dominant IPC cost.
 
-    ``trace`` requests tracing. Pool workers cannot see the
-    coordinator's ambient tracer, so the flag travels with the task;
-    a traced worker installs a fresh local
-    :class:`~repro.obs.trace.Tracer`, wraps the run in a
-    ``trial-batch`` span (pipeline stage spans nest under it) and
-    returns ``(outcomes, spans)`` for the coordinator to adopt.
-    Tracing never touches the trial computation itself, so outcomes
-    stay bitwise identical either way.
+    The chunk runs in a ``trial-batch`` span (pipeline stage spans
+    nest under it) on whatever tracer is ambient: the caller's when
+    it runs inline, a worker-local one that :meth:`ExperimentEngine.map`
+    brings home when it runs in the pool.
     """
     group = task.group
-
-    def execute() -> list[TrialOutcome]:
+    with maybe_span("trial-batch", trials=len(task.rngs)):
         pipeline = build_pipeline(
             group.scenario, group.device, precision=task.precision
         )
@@ -199,18 +198,23 @@ def _run_trial_batch(
         outcomes = pipeline.run_trials(ctx, task.rngs)
         if not task.keep_recordings:
             outcomes = [
-                replace(outcome, recording=None)
-                for outcome in outcomes
+                replace(outcome, recording=None) for outcome in outcomes
             ]
-        return outcomes
+    return outcomes
 
-    if not task.trace:
-        return execute()
+
+def _traced_call(fn: Callable, task: Any) -> tuple[Any, list[Span]]:
+    """Pool side of a traced :meth:`ExperimentEngine.map` call.
+
+    A worker never sees the caller's tracer (and must not trust a
+    fork-time copy of it), so the task runs under a fresh local
+    :class:`~repro.obs.trace.Tracer` and its spans travel home with
+    the result, for the caller to adopt.
+    """
     local = Tracer()
     with activate_tracer(local):
-        with local.span("trial-batch", trials=len(task.rngs)):
-            outcomes = execute()
-    return outcomes, local.spans
+        result = fn(task)
+    return result, local.spans
 
 
 def _spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
@@ -319,7 +323,10 @@ class ExperimentEngine:
     The engine owns at most one :class:`ProcessPoolExecutor`, created
     lazily on first parallel use and reused across calls (and across
     experiments, when the CLI shares one engine), so pool start-up is
-    paid once per run rather than once per sweep point.
+    paid once per run rather than once per sweep point. Its
+    :meth:`map` is the repository's one process boundary: trial
+    batches, experiment probes and the fleet's shards all cross it,
+    and it carries the trace across.
     """
 
     def __init__(
@@ -377,11 +384,28 @@ class ExperimentEngine:
     # -- generic fan-out ----------------------------------------------
 
     def map(self, fn: Callable, tasks: Sequence) -> list:
-        """Order-preserving map, in-process when serial or trivial."""
+        """Order-preserving map: the engine's one process boundary.
+
+        Serial engines and single tasks run inline, under whatever
+        tracer is ambient. Otherwise ``fn`` (module-level, so it
+        pickles by reference) runs in the pool; under an active tracer
+        each task goes through :func:`_traced_call`, and the spans it
+        records come home re-based under the caller's innermost open
+        span, so a trace has the same tree at every ``jobs`` value.
+        """
         tasks = list(tasks)
         if self.jobs == 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
-        return list(self._executor().map(fn, tasks))
+        tracer = current_tracer()
+        if tracer is None:
+            return list(self._executor().map(fn, tasks))
+        results = []
+        for result, spans in self._executor().map(
+            partial(_traced_call, fn), tasks
+        ):
+            tracer.adopt(spans)
+            results.append(result)
+        return results
 
     # -- trial execution ----------------------------------------------
 
@@ -412,8 +436,6 @@ class ExperimentEngine:
                 raise ExperimentError(
                     f"n_trials must be >= 1, got {group.n_trials}"
                 )
-        tracer = current_tracer()
-        trace = tracer is not None
         # Coarse batches keep emission materialisation local: with
         # groups >= jobs each group stays on one worker, so its
         # emission is built exactly once in the whole pool.
@@ -426,11 +448,7 @@ class ExperimentEngine:
             widths.append(len(batches))
             tasks.extend(
                 _TrialTask(
-                    group,
-                    tuple(batch),
-                    keep_recordings,
-                    self.precision,
-                    trace,
+                    group, tuple(batch), keep_recordings, self.precision
                 )
                 for batch in batches
             )
@@ -441,28 +459,17 @@ class ExperimentEngine:
                 sum(group.n_trials for group in groups)
             )
             metrics.counter("engine.tasks").inc(len(tasks))
-        if trace:
-            with tracer.span(
-                "trial-groups",
-                groups=len(groups),
-                tasks=len(tasks),
-                jobs=self.jobs,
-            ) as fanout_id:
-                dispatch_started = time.perf_counter()
-                traced = self.map(_run_trial_batch, tasks)
-                dispatch_seconds = (
-                    time.perf_counter() - dispatch_started
-                )
-                flat = []
-                for outcomes, worker_spans in traced:
-                    tracer.adopt(worker_spans, parent_id=fanout_id)
-                    flat.append(outcomes)
-            if metrics is not None:
-                metrics.latency("engine.fanout_s").observe(
-                    dispatch_seconds
-                )
-        else:
+        with maybe_span(
+            "trial-groups",
+            groups=len(groups),
+            tasks=len(tasks),
+            jobs=self.jobs,
+        ):
+            started = time.perf_counter()
             flat = self.map(_run_trial_batch, tasks)
+            fanout_seconds = time.perf_counter() - started
+        if metrics is not None:
+            metrics.latency("engine.fanout_s").observe(fanout_seconds)
         results: list[list[TrialOutcome]] = []
         cursor = 0
         for width in widths:

@@ -28,11 +28,14 @@ partitions replicated reads:
   into :class:`ShardTask` recipes; :func:`run_shard` synthesises one
   shard's slice of recordings (:func:`synthesize_utterances`,
   emission-cached per process through :mod:`repro.sim.engine`) and
-  drives its partition (:func:`drive_streams`). One shard runs
-  inline; more run one per process. Nothing coordinates on the hot
+  drives its partition (:func:`drive_streams`). The shards cross the
+  repository's one process boundary,
+  :meth:`~repro.sim.engine.ExperimentEngine.map`: one shard runs
+  inline, more run one per process, and under a tracer their spans
+  come home through the same map. Nothing coordinates on the hot
   path.
-* **Merging.** :class:`ShardAccumulator` folds shard results in as
-  they finish, rejecting a duplicate or missing stream.
+* **Merging.** :class:`ShardAccumulator` folds shard results in,
+  in any order, rejecting a duplicate or missing stream.
 * **Determinism.** All randomness is laid out by
   :func:`fleet_seed_plan` before any scheduling, and each stream is a
   pure function of its own seed sequence and utterance slots, so
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -66,15 +68,14 @@ from repro.dsp.signals import Signal
 from repro.errors import StreamError
 from repro.hardware.devices import horn_tweeter
 from repro.obs.metrics import LatencyRecorder, current_metrics
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    activate as activate_tracer,
-    current_tracer,
-    maybe_span,
-)
+from repro.obs.trace import maybe_span
 from repro.sim.cache import stable_key
-from repro.sim.engine import EmissionSpec, cached_voice, partition_evenly
+from repro.sim.engine import (
+    EmissionSpec,
+    ExperimentEngine,
+    cached_voice,
+    partition_evenly,
+)
 from repro.sim.pipeline import build_pipeline, level_stage
 from repro.sim.spec import RIG_POSITION, get_scenario
 from repro.speech.recognizer import KeywordRecognizer
@@ -650,11 +651,6 @@ class ShardTask:
     slot_attacks: tuple[tuple[bool, ...], ...]
     detector: InaudibleVoiceDetector
     segmenter_config: SegmenterConfig | None
-    #: Coordinator-side tracing request. Pool workers cannot see the
-    #: coordinator's ambient tracer, so the flag travels with the
-    #: task; a traced shard returns its spans in the result for the
-    #: coordinator to adopt. Never affects stream outcomes.
-    trace: bool = False
 
     def __post_init__(self) -> None:
         lengths = {
@@ -681,74 +677,58 @@ class ShardResult:
     streams: list[StreamResult]
     prepare_seconds: float
     wall_seconds: float
-    #: The shard's trace (empty unless the task asked for one); the
-    #: coordinator re-bases these into its own trace with fresh,
-    #: non-overlapping span ids.
-    spans: list[Span] = field(default_factory=list)
 
 
 def run_shard(task: ShardTask) -> ShardResult:
     """Execute one shard: synthesise its slice, stream every device.
 
-    Module-level so the process pool pickles it by reference; a
-    single shard and the hypothesis partition property call it
-    inline, so every shard count runs the identical code path. With
-    ``task.trace`` set the whole shard runs under a fresh local
-    tracer — a ``shard`` root span with the synthesis, kernel-cycle
-    and utterance spans nested below — and ships its spans home in
-    the result.
+    Module-level so :meth:`~repro.sim.engine.ExperimentEngine.map`
+    pickles it by reference; a single shard and the hypothesis
+    partition property call it inline, so every shard count runs the
+    identical code path. The shard runs in a ``shard`` span, with the
+    synthesis, kernel-cycle and utterance spans nested below, on
+    whatever tracer is ambient (in a pool worker, the local one the
+    engine brings home).
     """
-    if not task.trace:
-        return _run_shard_body(task)
-    local = Tracer()
-    with activate_tracer(local):
-        with local.span(
-            "shard",
-            shard=task.shard_index,
-            streams=len(task.stream_indices),
-        ):
-            result = _run_shard_body(task)
-    result.spans = local.spans
-    return result
-
-
-def _run_shard_body(task: ShardTask) -> ShardResult:
     config = task.config
-    rng_children = [
-        np.random.default_rng(seq)
-        for stream in task.slot_seqs
-        for seq in stream
-    ]
-    attack_mask = np.array(
-        [flag for stream in task.slot_attacks for flag in stream],
-        dtype=bool,
-    )
-    prepare_started = time.perf_counter()
-    with maybe_span("synthesize", slots=len(rng_children)):
-        recordings, recognizer = synthesize_utterances(
-            config.scenario,
-            config.command,
-            config.distance_m,
-            rng_children,
-            attack_mask,
-            voice_seed=config.seed,
+    with maybe_span(
+        "shard", shard=task.shard_index, streams=len(task.stream_indices)
+    ):
+        rng_children = [
+            np.random.default_rng(seq)
+            for stream in task.slot_seqs
+            for seq in stream
+        ]
+        attack_mask = np.array(
+            [flag for stream in task.slot_attacks for flag in stream],
+            dtype=bool,
         )
-    prepare_seconds = time.perf_counter() - prepare_started
-    rate = check_fleet_rate(recordings)
+        prepare_started = time.perf_counter()
+        with maybe_span("synthesize", slots=len(rng_children)):
+            recordings, recognizer = synthesize_utterances(
+                config.scenario,
+                config.command,
+                config.distance_m,
+                rng_children,
+                attack_mask,
+                voice_seed=config.seed,
+            )
+        prepare_seconds = time.perf_counter() - prepare_started
+        rate = check_fleet_rate(recordings)
 
-    started = time.perf_counter()
-    streams = drive_streams(
-        config,
-        task.detector,
-        task.segmenter_config,
-        task.stream_indices,
-        rate,
-        recognizer,
-        recordings,
-        attack_mask,
-        task.stream_seqs,
-    )
-    wall_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        streams = drive_streams(
+            config,
+            task.detector,
+            task.segmenter_config,
+            task.stream_indices,
+            rate,
+            recognizer,
+            recordings,
+            attack_mask,
+            task.stream_seqs,
+        )
+        wall_seconds = time.perf_counter() - started
     return ShardResult(
         shard_index=task.shard_index,
         sample_rate=rate,
@@ -761,10 +741,10 @@ def _run_shard_body(task: ShardTask) -> ShardResult:
 class ShardAccumulator:
     """Mergeable fleet accumulator: shard slices in, one report out.
 
-    Order-insensitive (shards arrive as they finish) and validating:
-    a duplicate stream index fails at :meth:`add`, a missing one at
-    :meth:`report` — a shard can never be silently dropped or double
-    counted.
+    Order-insensitive (shards may be folded in any order) and
+    validating: a duplicate stream index fails at :meth:`add`, a
+    missing one at :meth:`report` — a shard can never be silently
+    dropped or double counted.
     """
 
     def __init__(self, n_streams: int) -> None:
@@ -775,7 +755,7 @@ class ShardAccumulator:
         self._walls: dict[int, float] = {}
 
     def add(self, result: ShardResult) -> None:
-        """Fold one shard's slice in (any completion order)."""
+        """Fold one shard's slice in (any order)."""
         if self._rate is None:
             self._rate = result.sample_rate
         elif result.sample_rate != self._rate:
@@ -834,7 +814,6 @@ def plan_shards(
     config: FleetConfig,
     segmenter_config: SegmenterConfig | None = None,
     partitions: Sequence[Sequence[int]] | None = None,
-    trace: bool = False,
 ) -> list[ShardTask]:
     """Deterministic shard tasks for one fleet config.
 
@@ -873,24 +852,9 @@ def plan_shards(
                 ),
                 detector=detector,
                 segmenter_config=segmenter_config,
-                trace=trace,
             )
         )
     return tasks
-
-
-def _shard_results(tasks: list[ShardTask]):
-    """Each task's result as it finishes: inline for one task (no
-    executor, no pickling), else one process per shard, up to the
-    core count."""
-    if len(tasks) == 1:
-        yield run_shard(tasks[0])
-        return
-    max_workers = min(len(tasks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(run_shard, task) for task in tasks]
-        for future in as_completed(futures):
-            yield future.result()
 
 
 class FleetSimulator:
@@ -921,28 +885,25 @@ class FleetSimulator:
     def run(self) -> FleetReport:
         """Plan, run and merge the shards of the whole fleet.
 
-        Run it under a :class:`~repro.obs.trace.Tracer` for a
-        ``fleet`` span with each ``shard`` below it, and the stream
-        groups' per-stage wall time below those:
-        :meth:`~repro.sim.pipeline.StageProfile.from_spans` attributes
-        ingestion vs segmentation vs Welch vs decide cost.
+        The shards go through :meth:`ExperimentEngine.map
+        <repro.sim.engine.ExperimentEngine.map>`, the one process
+        boundary: one shard runs inline, more run one per process, up
+        to the core count. Run it under a
+        :class:`~repro.obs.trace.Tracer` for a ``fleet`` span with each
+        ``shard`` below it, and the stream groups' per-stage wall time
+        below those: :meth:`~repro.sim.pipeline.StageProfile.from_spans`
+        attributes ingestion vs segmentation vs Welch vs decide cost.
         """
         config = self.config
-        tracer = current_tracer()
-        tasks = plan_shards(
-            self.detector,
-            config,
-            self.segmenter_config,
-            trace=tracer is not None,
-        )
+        tasks = plan_shards(self.detector, config, self.segmenter_config)
         accumulator = ShardAccumulator(config.n_streams)
         with maybe_span(
             "fleet", shards=len(tasks), streams=config.n_streams
-        ) as fleet_span:
-            for result in _shard_results(tasks):
-                accumulator.add(result)
-                if result.spans:
-                    tracer.adopt(result.spans, parent_id=fleet_span)
+        ):
+            jobs = min(len(tasks), os.cpu_count() or 1)
+            with ExperimentEngine(jobs=jobs) as engine:
+                for result in engine.map(run_shard, tasks):
+                    accumulator.add(result)
             report = accumulator.report(config)
         registry = current_metrics()
         if registry is not None:

@@ -2,11 +2,7 @@
 
 The exact-quantile contract is checked by property: whatever samples
 a :class:`~repro.obs.metrics.LatencyRecorder` sees, its quantiles are
-``numpy.quantile`` of the raw samples — no sketch error. The
-reservoir mode's contract is the complementary one: memory is
-bounded at ``max_samples`` while ``count``/``total`` stay exact, and
-the retained set is a deterministic function of the recorder name
-and observation sequence.
+``numpy.quantile`` of the raw samples — no sketch error.
 """
 
 from __future__ import annotations
@@ -77,57 +73,6 @@ class TestExactQuantiles:
                 access()
 
 
-class TestReservoir:
-    @given(
-        n=st.integers(min_value=1, max_value=500),
-        max_samples=st.integers(min_value=1, max_value=50),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_memory_is_bounded_and_counts_stay_exact(
-        self, n, max_samples
-    ):
-        recorder = LatencyRecorder("t", max_samples=max_samples)
-        values = [float(i) for i in range(n)]
-        recorder.observe_many(values)
-        assert len(recorder.samples) <= max_samples
-        assert recorder.count == n
-        assert recorder.total == sum(values)
-        # Everything retained was actually observed.
-        assert set(recorder.samples) <= set(values)
-
-    def test_reservoir_is_deterministic_per_name(self):
-        """Same name, same observations -> same retained set: the
-        eviction generator is seeded from the recorder name, never
-        from global randomness (bitwise-inertness of metrics)."""
-        a = LatencyRecorder("t", max_samples=8)
-        b = LatencyRecorder("t", max_samples=8)
-        for value in range(1000):
-            a.observe(float(value))
-            b.observe(float(value))
-        assert a.samples == b.samples
-
-    def test_below_capacity_reservoir_is_exact(self):
-        recorder = LatencyRecorder("t", max_samples=100)
-        recorder.observe_many([3.0, 1.0, 2.0])
-        assert recorder.quantile(0.5) == 2.0
-
-    def test_quantile_error_is_within_the_documented_bound(self):
-        """At N=1000 the documented rank-space standard error at the
-        median is ~1.6 percentiles; 10 sigma of that on a uniform
-        grid is a generous, deterministic acceptance band."""
-        n, cap = 20_000, 1000
-        recorder = LatencyRecorder("bound-check", max_samples=cap)
-        for i in range(n):
-            recorder.observe(i / n)
-        error = abs(recorder.quantile(0.5) - 0.5)
-        sigma = (0.5 * 0.5 / cap) ** 0.5
-        assert error < 10 * sigma
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder("t", max_samples=0)
-
-
 class TestCountersAndGauges:
     def test_counter_accumulates_and_never_decreases(self):
         counter = Counter("c")
@@ -170,7 +115,6 @@ class TestRegistry:
         assert metrics["runs"] == {"type": "counter", "value": 2}
         assert metrics["load"] == {"type": "gauge", "value": 0.5}
         assert metrics["lat"]["p50"] == 2.0
-        assert metrics["lat"]["exact"] is True
 
     def test_empty_latency_serializes_without_stats(self):
         registry = MetricsRegistry()

@@ -7,7 +7,10 @@ The load-bearing guarantees:
 * the emission cache computes each recipe once per process and
   accounts hits/misses;
 * invalid configuration fails loudly with :class:`ExperimentError`;
-* the adaptive range search never measures a distance twice.
+* the adaptive range search never measures a distance twice;
+* ``map`` is one process boundary that carries the trace: spans a
+  pooled task records come home under the caller's open span, in the
+  tree an inline run records.
 """
 
 import os
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
+from repro.obs.trace import Tracer, activate, maybe_span
 from repro.experiments._emissions import (
     ATTACKER_POSITION,
     single_full,
@@ -31,6 +35,28 @@ from repro.sim.engine import (
     stable_key,
 )
 from repro.sim.scenario import Scenario, VictimDevice
+
+
+def spanned_square(x):
+    """A module-level map task (pickled by reference) that traces."""
+    with maybe_span("task", x=x):
+        with maybe_span("inner", x=x):
+            pass
+    return x * x
+
+
+def span_paths(spans):
+    """Sorted root-to-span (name, attrs) paths: the tree's shape,
+    independent of span ids and recording order."""
+    by_id = {span.span_id: span for span in spans}
+    paths = []
+    for span in spans:
+        path, cursor = [], span
+        while cursor is not None:
+            path.append((cursor.name, sorted(cursor.attrs.items())))
+            cursor = by_id.get(cursor.parent_id)
+        paths.append(tuple(reversed(path)))
+    return sorted(paths)
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +315,34 @@ class TestRecordingStripping:
         assert [o.distance for o in stripped] == [
             o.distance for o in kept
         ]
+
+
+class TestTracedMap:
+    """``map`` carries the trace across the process boundary."""
+
+    @staticmethod
+    def traced_map(jobs):
+        tracer = Tracer()
+        with activate(tracer), ExperimentEngine(jobs=jobs) as engine:
+            with tracer.span("caller") as caller_id:
+                results = engine.map(spanned_square, [1, 2, 3])
+        return results, caller_id, tracer.spans
+
+    def test_pool_spans_come_home_under_the_callers_span(self):
+        results, caller_id, spans = self.traced_map(jobs=2)
+        assert results == [1, 4, 9]
+        assert len({span.span_id for span in spans}) == len(spans)
+        tasks = [span for span in spans if span.name == "task"]
+        assert sorted(span.attrs["x"] for span in tasks) == [1, 2, 3]
+        assert {span.parent_id for span in tasks} == {caller_id}
+        task_ids = {span.attrs["x"]: span.span_id for span in tasks}
+        inner = [span for span in spans if span.name == "inner"]
+        assert len(inner) == 3
+        for span in inner:
+            assert span.parent_id == task_ids[span.attrs["x"]]
+
+    def test_pool_trace_has_the_inline_tree(self):
+        pooled = self.traced_map(jobs=2)
+        inline = self.traced_map(jobs=1)
+        assert pooled[0] == inline[0]
+        assert span_paths(pooled[2]) == span_paths(inline[2])

@@ -4,9 +4,9 @@ import pytest
 
 from repro.acoustics.geometry import Position, Room
 from repro.sim.results import ResultTable
+from repro.sim.engine import ExperimentEngine
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import Scenario, VictimDevice
-from repro.sim.sweep import accuracy_over_distances, success_rate
 from repro.errors import ExperimentError
 
 
@@ -100,19 +100,20 @@ class TestRunner:
 
 
 class TestSweep:
+    """The engine's sweep methods, on a serial engine."""
+
     def test_success_rate_bounds(
         self, base_scenario, phone_device, attack_emission, rng
     ):
-        runner = ScenarioRunner(base_scenario, phone_device)
-        rate = success_rate(
-            runner, list(attack_emission.sources), 2, rng
+        rate = ExperimentEngine(jobs=1).success_rate(
+            base_scenario, phone_device, list(attack_emission.sources), 2, rng
         )
         assert 0.0 <= rate <= 1.0
 
     def test_accuracy_over_distances_shape(
         self, base_scenario, phone_device, attack_emission, rng
     ):
-        results = accuracy_over_distances(
+        results = ExperimentEngine(jobs=1).accuracy_over_distances(
             base_scenario,
             phone_device,
             list(attack_emission.sources),
@@ -126,7 +127,7 @@ class TestSweep:
         self, base_scenario, phone_device, attack_emission, rng
     ):
         with pytest.raises(ExperimentError):
-            accuracy_over_distances(
+            ExperimentEngine(jobs=1).accuracy_over_distances(
                 base_scenario,
                 phone_device,
                 list(attack_emission.sources),

@@ -7,10 +7,11 @@ Three contracts from the ``repro.obs`` integration:
   in wide groups and in groups of one;
 * **completeness** — the trace carries every stream-kernel stage and
   one utterance marker per segmented utterance;
-* **shard-boundary attribution** — spans recorded inside pool-worker
-  shards come home in the :class:`~repro.stream.fleet.ShardResult`
-  and merge under the coordinator's ``fleet`` span with
-  non-overlapping ids and intact nesting.
+* **shard-boundary attribution** — the shards cross the one process
+  boundary, :meth:`~repro.sim.engine.ExperimentEngine.map`; spans
+  recorded inside pool-worker shards come home through it and merge
+  under the coordinator's ``fleet`` span with non-overlapping ids and
+  intact nesting.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import activate as activate_metrics
 from repro.obs.trace import Tracer, activate
+from repro.sim.engine import ExperimentEngine, _traced_call
 from repro.sim.pipeline import StageProfile
 from repro.stream.fleet import (
     FleetConfig,
     FleetSimulator,
+    ShardAccumulator,
+    ShardResult,
     plan_shards,
     run_shard,
 )
@@ -167,17 +171,28 @@ class TestCompleteness:
 
 
 class TestShardBoundary:
-    def test_untraced_task_ships_no_spans(self, stream_detector):
-        task = plan_shards(stream_detector, small_config())[0]
-        assert task.trace is False
-        assert run_shard(task).spans == []
+    def test_untraced_task_ships_no_spans(
+        self, stream_detector, untraced_digest
+    ):
+        """With no tracer the pool runs ``run_shard`` itself: bare
+        shard results come home and merge to the inline digest."""
+        config = small_config(shards=2)
+        tasks = plan_shards(stream_detector, config)
+        with ExperimentEngine(jobs=2) as engine:
+            results = engine.map(run_shard, tasks)
+        assert all(type(result) is ShardResult for result in results)
+        accumulator = ShardAccumulator(config.n_streams)
+        for result in results:
+            accumulator.add(result)
+        assert accumulator.report(config).digest() == untraced_digest
 
     def test_traced_task_ships_its_spans_home(self, stream_detector):
-        task = plan_shards(
-            stream_detector, small_config(), trace=True
-        )[0]
-        result = run_shard(task)
-        names = spans_by_name(result.spans)
+        """The pool side of a traced map: the shard runs under a
+        worker-local tracer and its spans travel with the result."""
+        task = plan_shards(stream_detector, small_config())[0]
+        result, spans = _traced_call(run_shard, task)
+        assert isinstance(result, ShardResult)
+        names = spans_by_name(spans)
         shard_span = names["shard"][0]
         assert shard_span.parent_id is None
         assert shard_span.attrs == {"shard": 0, "streams": 2}

@@ -281,6 +281,21 @@ class TestCli:
         payload = json.loads(metrics_path.read_text())
         assert payload["metrics"]["engine.trials"]["value"] > 0
 
+    def test_metrics_without_trace_record_the_fanout(
+        self, tmp_path, capsys
+    ):
+        """The engine's fan-out latency is a metric, not a by-product
+        of tracing: ``--metrics-out`` alone records it."""
+        metrics_path = tmp_path / "metrics.json"
+        assert main([
+            "F3", "--jobs", "1", "--metrics-out", str(metrics_path),
+        ]) == 0
+        capsys.readouterr()
+        metrics = json.loads(metrics_path.read_text())["metrics"]
+        fanout = metrics["engine.fanout_s"]
+        assert fanout["type"] == "latency"
+        assert fanout["count"] > 0
+
     def test_list_scenarios_flag(self, capsys):
         from repro.sim.spec import scenario_names
 
