@@ -184,6 +184,27 @@ class LabeledDataset:
             raise DefenseError("filter produced an empty dataset")
         return self._subset(indices)
 
+    def select(self, names: tuple[str, ...]) -> "LabeledDataset":
+        """The same rows restricted to the feature columns ``names``.
+
+        Equal to building the dataset with ``feature_subset=names``:
+        the features are per-column, so selecting columns afterwards
+        changes no value.
+        """
+        unknown = [name for name in names if name not in self.feature_names]
+        if unknown or not names:
+            raise DefenseError(
+                f"cannot select features {names!r} from "
+                f"{self.feature_names}"
+            )
+        indices = [self.feature_names.index(name) for name in names]
+        return LabeledDataset(
+            features=self.features[:, indices],
+            labels=self.labels,
+            metadata=self.metadata,
+            feature_names=tuple(names),
+        )
+
     def _subset(self, indices: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(
             features=self.features[indices],

@@ -29,24 +29,20 @@ def _carrier_row(
     n_chunks, voice = task
     speaker = ultrasonic_piezo_element()
     margins = {}
-    plans = {}
+    loudest = {}
     for separate in (True, False):
         splitter = SpectralSplitter(
             n_chunks=n_chunks, separate_carrier=separate
         )
-        plans[separate] = splitter.split(voice)
-        margins[separate] = max(
+        chunks = splitter.split(voice).chunks
+        chunk_margins = [
             leakage_report(speaker, chunk.drive, 1.0, 0.5).margin_db
-            for chunk in plans[separate].chunks
-        )
+            for chunk in chunks
+        ]
+        margins[separate] = max(chunk_margins)
+        loudest[separate] = chunks[chunk_margins.index(margins[separate])]
     # How hard the mixed design must throttle its loudest chunk:
-    worst_chunk = max(
-        plans[False].chunks,
-        key=lambda chunk: leakage_report(
-            speaker, chunk.drive, 1.0, 0.5
-        ).margin_db,
-    )
-    cap = max_inaudible_drive(speaker, worst_chunk.drive, 0.5)
+    cap = max_inaudible_drive(speaker, loudest[False].drive, 0.5)
     return (n_chunks, margins[True], margins[False], cap)
 
 

@@ -6,15 +6,15 @@ finding: power and correlation are individually strong and complement
 each other against borderline cases. ``scenario`` rebuilds the
 ablation inside a registered environment, so feature importance can be
 read per scene (interference, for instance, loads the correlation
-features harder). Each subset's dataset/fit chain is one engine work
-unit.
+features harder). The dataset is built once with every feature; each
+subset's fit on its columns is one engine work unit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.defense.dataset import DatasetConfig, build_dataset
+from repro.defense.dataset import DatasetConfig, LabeledDataset, build_dataset
 from repro.defense.detector import InaudibleVoiceDetector
 from repro.defense.metrics import auc
 from repro.sim.engine import ExperimentEngine
@@ -38,11 +38,10 @@ SUBSETS: dict[str, tuple[str, ...]] = {
 
 
 def _subset_row(
-    task: tuple[str, tuple[str, ...], DatasetConfig, int],
+    task: tuple[str, tuple[str, ...], LabeledDataset, int],
 ) -> tuple[str, float, float]:
-    """Worker: dataset -> fit -> AUC/accuracy for one feature subset."""
-    label, subset, config, split_seed = task
-    dataset = build_dataset(config)
+    """Worker: fit -> AUC/accuracy for one feature subset."""
+    label, subset, dataset, split_seed = task
     rng = np.random.default_rng(split_seed)
     train, test = dataset.split(0.6, rng)
     detector = InaudibleVoiceDetector(feature_subset=subset).fit(train)
@@ -65,24 +64,22 @@ def run(
         title="A3: defense feature ablation" + spec.title_suffix(),
         columns=["features", "AUC", "accuracy"],
     )
+    # One dataset with every feature; each subset takes its columns.
+    dataset = build_dataset(
+        DatasetConfig(
+            commands=("ok_google", "alexa"),
+            distances_m=(1.0, 2.0),
+            n_trials=n_trials,
+            attacker_kind="single_full",
+            scenario=scenario,
+            seed=seed,
+        )
+    )
+    tasks = [
+        (label, subset, dataset.select(subset), seed + 3)
+        for label, subset in SUBSETS.items()
+    ]
     with ExperimentEngine.scoped(engine, jobs) as eng:
-        tasks = [
-            (
-                label,
-                subset,
-                DatasetConfig(
-                    commands=("ok_google", "alexa"),
-                    distances_m=(1.0, 2.0),
-                    n_trials=n_trials,
-                    attacker_kind="single_full",
-                    feature_subset=subset,
-                    scenario=scenario,
-                    seed=seed,
-                ),
-                seed + 3,
-            )
-            for label, subset in SUBSETS.items()
-        ]
         for row in eng.map(_subset_row, tasks):
             table.add_row(*row)
     return table

@@ -162,18 +162,17 @@ def run(
 ) -> ResultTable:
     """Parity, dispositions and stream-time latency of the online guard.
 
-    ``shards`` splits the fleet into that many shards
-    (:class:`~repro.stream.fleet.FleetSimulator` runs more than one on
-    a process pool); the fleet runs
-    :class:`~repro.stream.fleet.FleetConfig`'s default kernel. ``streams`` overrides the fleet size. The
-    rendered table — dispositions, latencies and the fleet digest row
-    — is byte-identical for every shard count at any fleet size (the
-    CI shard-determinism job diffs ``--shards 1/2/4`` stdout);
-    wall-clock figures (streams/core/second, per-shard balance) go to
-    stderr, like the CLI's timing lines. ``jobs`` and ``engine`` exist
-    for interface uniformity; the fleet's parallelism is ``shards``.
+    ``shards`` splits the fleet into that many shards, which run on
+    ``engine`` (else on a ``jobs``-process engine), so ``jobs=1`` runs
+    every shard inline; the fleet runs
+    :class:`~repro.stream.fleet.FleetConfig`'s default kernel.
+    ``streams`` overrides the fleet size. The rendered table —
+    dispositions, latencies and the fleet digest row — is
+    byte-identical for every shard count at any fleet size (the CI
+    shard-determinism job diffs ``--shards 1/2/4`` stdout); wall-clock
+    figures (streams/core/second, per-shard balance) go to stderr,
+    like the CLI's timing lines.
     """
-    del jobs, engine
     spec = get_scenario(scenario)
     chunk_ms = (10, 50, 250) if quick else (5, 10, 50, 250)
     n_streams = (8 if quick else 32) if streams is None else streams
@@ -215,8 +214,9 @@ def run(
         seed=seed + 2,
         shards=shards,
     )
-    report = FleetSimulator(detector, fleet_config).run()
-    cores = min(shards, os.cpu_count() or 1)
+    with ExperimentEngine.scoped(engine, jobs) as eng:
+        report = FleetSimulator(detector, fleet_config).run(eng)
+        cores = min(shards, eng.jobs, os.cpu_count() or 1)
     walls = report.shard_wall_seconds
     balance = min(walls) / max(walls) if max(walls) > 0 else 1.0
     print(

@@ -12,14 +12,19 @@ This recogniser is simple but *real*: its accuracy falls smoothly as
 noise, reverberation and demodulation distortion grow, which is the
 property every accuracy-vs-distance figure in the evaluation relies on.
 
-There is one DTW implementation: an anti-diagonal sweep over a slab of
-(recording, template) pairs. Recognising one recording is a batch of
-one; the trial pipeline and the streaming kernel hand in whole
-batches.
+There is one DTW implementation, over a batch of (recording,
+template) pairs: the pairs are sorted by band and cut into slabs of
+at most :attr:`KeywordRecognizer.MAX_SLAB_CELLS` table cells; each
+slab's in-band local costs are computed first, one vectorised pass
+per band offset, and the slab is then swept along anti-diagonals, two
+``np.minimum`` and one ``np.add`` per diagonal. Recognising one
+recording is a batch of one; the trial pipeline and the streaming
+kernel hand in whole batches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,9 +93,9 @@ class KeywordRecognizer:
     #: ASR front-ends, which keep only the sub-8 kHz band.
     CANONICAL_RATE_HZ = 16000.0
 
-    #: Most (recording, template) pairs one DTW slab sweeps at once;
-    #: bounds the padded feature stacks' memory.
-    MAX_PAIRS = 2048
+    #: Most float64 cells in one DTW slab's table (8 MB); bounds the
+    #: DTW's working set whatever the batch size.
+    MAX_SLAB_CELLS = 1 << 20
 
     def __init__(
         self,
@@ -178,11 +183,12 @@ class KeywordRecognizer:
         :meth:`recognize` and the trial pipeline's ``recognize`` stage
         both land here. Each recording is featurised on its own
         (resample, silence trim, MFCC) and only the DTW, the dominant
-        cost, is batched. Pairs are swept in slabs of at most
-        :attr:`MAX_PAIRS` to bound the padded feature stacks' memory.
-        Every pair's DP table is masked to its own band, so slab
-        composition cannot change a score: entry ``i`` is bitwise
-        ``recognize_many([recordings[i]])[0]``.
+        cost, is batched: every (recording, template) pair goes to
+        one :meth:`_dtw_distance_batch` call, whose slabs of at most
+        :attr:`MAX_SLAB_CELLS` table cells bound the working set
+        whatever the batch size. Every pair's cells are confined to
+        its own band, so slab composition cannot change a score:
+        entry ``i`` is bitwise ``recognize_many([recordings[i]])[0]``.
         """
         if not self._templates:
             raise RecognitionError(
@@ -193,37 +199,34 @@ class KeywordRecognizer:
             for command, group in self._templates.items()
             for template in group
         ]
-        per_slab = max(1, self.MAX_PAIRS // len(templates))
         features = [self._featurize(r) for r in recordings]
+        scores = iter(
+            self._dtw_distance_batch(
+                [
+                    (query, template)
+                    for query in features
+                    for _, template in templates
+                ]
+            )
+        )
         results: list[RecognitionResult] = []
-        for lo in range(0, len(features), per_slab):
-            chunk = features[lo : lo + per_slab]
-            scores = iter(
-                self._dtw_distance_batch(
-                    [
-                        (query, template)
-                        for query in chunk
-                        for _, template in templates
-                    ]
+        for _ in features:
+            distances: dict[str, float] = {}
+            for command, _ in templates:
+                score = next(scores)
+                distances[command] = min(
+                    distances.get(command, score), score
+                )
+            best_command = min(distances, key=distances.get)
+            best_distance = distances[best_command]
+            results.append(
+                RecognitionResult(
+                    accepted=best_distance <= self.acceptance_threshold,
+                    command=best_command,
+                    distance=best_distance,
+                    distances=distances,
                 )
             )
-            for _ in chunk:
-                distances: dict[str, float] = {}
-                for command, _ in templates:
-                    score = next(scores)
-                    distances[command] = min(
-                        distances.get(command, score), score
-                    )
-                best_command = min(distances, key=distances.get)
-                best_distance = distances[best_command]
-                results.append(
-                    RecognitionResult(
-                        accepted=best_distance <= self.acceptance_threshold,
-                        command=best_command,
-                        distance=best_distance,
-                        distances=distances,
-                    )
-                )
         return results
 
     def recognizes_as(self, recording: Signal, command: str) -> bool:
@@ -251,110 +254,159 @@ class KeywordRecognizer:
     ) -> list[float]:
         """Banded DTW over many (query, template) pairs at once.
 
-        All DP tables are padded to a common shape and swept along
-        anti-diagonals: every cell on a diagonal depends only on the
-        two previous diagonals, so the sweep keeps just three rolling
-        ``(n_pairs, n_max + 1)`` diagonal buffers (no full DP tensor)
-        and each step is one vectorised three-way minimum. Because an
-        anti-diagonal visits contiguous ranges of query and template
-        frames, the local-cost operands are plain (reversed) slices of
-        the padded feature stacks — no gather copies anywhere in the
-        loop. The per-cell arithmetic is the textbook banded DTW's:
-        Euclidean local cost (the subtraction writes a fresh contiguous
-        temporary, so the coefficient-axis reduction order is that of
-        one row), ``min`` of the three unit-weight predecessors, and
-        out-of-band cells pinned at infinity. The score of a pair is
-        its cell ``(n, m)`` divided by ``n + m``, so sequences of
-        different lengths are comparable; no pair reads another's
-        cells, so each score is independent of the slab around it.
+        The per-cell arithmetic is the textbook banded DTW's:
+        Euclidean local cost, ``min`` of the three unit-weight
+        predecessors, out-of-band cells at infinity, and the score of
+        a pair is its cell ``(n, m)`` divided by ``n + m`` so
+        sequences of different lengths are comparable. Pairs are
+        sorted by band half-width and cut into slabs whose table holds
+        at most :attr:`MAX_SLAB_CELLS` cells (a slab holds at least
+        one pair); :meth:`_dtw_slab` sweeps each. No pair reads
+        another's cells, so neither the order nor the slab around a
+        pair changes its score.
         """
-        n_pairs = len(pairs)
-        ns = np.empty(n_pairs, dtype=np.int64)
-        ms = np.empty(n_pairs, dtype=np.int64)
-        bands = np.empty(n_pairs, dtype=np.int64)
-        for k, (a, b) in enumerate(pairs):
+        ns: list[int] = []
+        ms: list[int] = []
+        bands: list[int] = []
+        for a, b in pairs:
             n, m = a.shape[0], b.shape[0]
             if n == 0 or m == 0:
                 raise RecognitionError(
                     "cannot DTW-match empty feature matrices"
                 )
-            ns[k], ms[k] = n, m
-            bands[k] = max(
-                int(self.band_fraction * max(n, m)), abs(n - m) + 1
+            ns.append(n)
+            ms.append(m)
+            bands.append(
+                max(int(self.band_fraction * max(n, m)), abs(n - m) + 1)
             )
-        n_max, m_max = int(ns.max()), int(ms.max())
-        band_max = int(bands.max())
-        n_coeffs = pairs[0][0].shape[1]
-        a_pad = np.zeros((n_pairs, n_max, n_coeffs))
-        b_pad = np.zeros((n_pairs, m_max, n_coeffs))
-        for k, (a, b) in enumerate(pairs):
-            a_pad[k, : a.shape[0]] = a
-            b_pad[k, : b.shape[0]] = b
-        inf = np.inf
-        # Rolling diagonal buffers, indexed by i: prev2 holds diagonal
-        # d - 2, prev holds d - 1, cur is being filled. Diagonal 0 is
-        # the single cell (0, 0) = 0; diagonal 1 is entirely infinite
-        # (the scalar table's first row and column), so prev starts as
-        # all-inf.
-        prev2 = np.full((n_pairs, n_max + 1), inf)
-        prev = np.full((n_pairs, n_max + 1), inf)
-        cur = np.empty((n_pairs, n_max + 1))
-        prev2[:, 0] = 0.0
-        ns_col = ns[:, np.newaxis]
-        ms_col = ms[:, np.newaxis]
-        bands_col = bands[:, np.newaxis]
-        end_diag = ns + ms
-        distances = np.empty(n_pairs)
-        for diag in range(2, n_max + m_max + 1):
-            # Cells on the anti-diagonal restricted to the widest
-            # band's corridor (|i - j| <= band_max); everything outside
-            # stays at infinity, exactly like the scalar sweep, and the
-            # local costs are only ever computed inside the corridor.
-            i_lo = max(1, diag - m_max, (diag - band_max + 1) // 2)
-            i_hi = min(n_max, diag - 1, (diag + band_max) // 2)
-            cur[:] = inf
-            if i_lo <= i_hi:
-                i = np.arange(i_lo, i_hi + 1)
-                j = diag - i
-                # As i ascends along the diagonal, the query frame
-                # index i - 1 ascends and the template frame index
-                # j - 1 descends — both contiguously, so the operands
-                # are views and the subtraction is the only copy.
-                diffs = (
-                    a_pad[:, i_lo - 1 : i_hi, :]
-                    - b_pad[:, diag - i_hi - 1 : diag - i_lo, :][:, ::-1, :]
-                )
-                np.multiply(diffs, diffs, out=diffs)
-                local = np.sqrt(np.sum(diffs, axis=-1))
-                step = np.minimum(
-                    np.minimum(
-                        prev2[:, i_lo - 1 : i_hi],
-                        prev[:, i_lo - 1 : i_hi],
-                    ),
-                    prev[:, i_lo : i_hi + 1],
-                )
-                in_band = (
-                    (i <= ns_col)
-                    & (j <= ms_col)
-                    & (j >= i - bands_col)
-                    & (j <= i + bands_col)
-                )
-                cur[:, i_lo : i_hi + 1] = np.where(
-                    in_band, local + step, inf
-                )
-            # A pair's score lives at cell (n, m) on diagonal n + m;
-            # harvest it before the buffer rotates away.
-            done = np.flatnonzero(end_diag == diag)
-            if done.size:
-                distances[done] = cur[done, ns[done]]
-            prev2, prev, cur = prev, cur, prev2
+        # Similar bands share slabs and cost blocks, so few cells
+        # outside a pair's own band are ever computed.
+        order = sorted(
+            range(len(pairs)), key=lambda k: (bands[k], ns[k] + ms[k])
+        )
+        costs = np.empty(len(pairs))
+        lo = 0
+        while lo < len(order):
+            hi, diags, band = lo, 0, 0
+            while hi < len(order):
+                k = order[hi]
+                grown_diags = max(diags, ns[k] + ms[k])
+                grown_band = max(band, bands[k])
+                cells = (hi + 1 - lo) * (grown_diags + 1) * (grown_band + 3)
+                if hi > lo and cells > self.MAX_SLAB_CELLS:
+                    break
+                hi, diags, band = hi + 1, grown_diags, grown_band
+            slab = order[lo:hi]
+            costs[slab] = self._dtw_slab(
+                [pairs[k] for k in slab],
+                [ns[k] for k in slab],
+                [ms[k] for k in slab],
+                [bands[k] for k in slab],
+            )
+            lo = hi
         out = []
-        for k, distance in enumerate(distances):
-            if not np.isfinite(distance):
+        for n, m, cost in zip(ns, ms, costs):
+            if not np.isfinite(cost):
                 raise RecognitionError(
                     "DTW band too narrow for the length mismatch "
-                    f"between sequences ({int(ns[k])} vs {int(ms[k])} "
-                    "frames)"
+                    f"between sequences ({n} vs {m} frames)"
                 )
-            out.append(float(distance / (int(ns[k]) + int(ms[k]))))
+            out.append(float(cost / (n + m)))
         return out
+
+    def _dtw_slab(
+        self,
+        pairs: list[tuple[np.ndarray, np.ndarray]],
+        ns: list[int],
+        ms: list[int],
+        bands: list[int],
+    ) -> np.ndarray:
+        """Cumulative cost at cell ``(n, m)`` of every pair in a slab.
+
+        ``bands`` must ascend. The slab's DP tables live in one
+        diagonal-major array: ``table[d, p, k]`` is cell ``(i, j)`` of
+        pair ``k`` with ``i + j = d`` and ``p = (j - i + B) // 2 + 1``,
+        ``B`` being the slab's widest band. Positions ``0`` and
+        ``B + 2`` are guards; they, padding and every out-of-band cell
+        hold infinity from the start.
+
+        First every in-band cell receives its local cost: one pass
+        per band offset ``j - i``, over blocks of pairs sized so the
+        ``(pairs, frames, coefficients)`` difference temporary is
+        1/32 of the cell budget (256 KB, cache-sized, at the
+        default). The subtraction writes a fresh contiguous
+        temporary, so the coefficient-axis reduction order is that of
+        one row of the textbook DTW. Query padding is ``+inf`` and
+        template padding ``-inf``, so cells past a pair's own length
+        cost infinity with no mask (their difference is never
+        ``inf - inf``), and an offset only visits pairs whose band
+        reaches it. Then the sweep: the predecessors of a diagonal-``d``
+        cell sit at ``p`` on diagonal ``d - 2`` and at ``p`` and
+        ``p - 1`` (``p + 1`` when ``j - i + B`` is odd) on diagonal
+        ``d - 1``, so each diagonal is two ``np.minimum`` and one
+        in-place ``np.add`` over contiguous rows of the array.
+        """
+        n_pairs = len(pairs)
+        band_max = bands[-1]
+        n_diags = max(map(sum, zip(ns, ms))) + 1
+        n_coeffs = pairs[0][0].shape[1]
+        inf = np.inf
+        width = band_max + 3
+        table = np.full((n_diags, width, n_pairs), inf)
+        table[0, band_max // 2 + 1] = 0.0  # cell (0, 0)
+        per_block = max(
+            1, (self.MAX_SLAB_CELLS // 32) // (max(ns) * n_coeffs)
+        )
+        for p0 in range(0, n_pairs, per_block):
+            p1 = min(n_pairs, p0 + per_block)
+            n_blk, m_blk = max(ns[p0:p1]), max(ms[p0:p1])
+            d_blk = max(map(sum, zip(ns[p0:p1], ms[p0:p1])))
+            a_pad = np.full((p1 - p0, n_blk, n_coeffs), inf)
+            b_pad = np.full((p1 - p0, m_blk, n_coeffs), -inf)
+            for k, (a, b) in enumerate(pairs[p0:p1]):
+                a_pad[k, : a.shape[0]] = a
+                b_pad[k, : b.shape[0]] = b
+            for off in range(-bands[p1 - 1], bands[p1 - 1] + 1):
+                # Cells (i, i + off) of the pairs whose band reaches
+                # off, on diagonals 2i + off.
+                first = bisect_left(bands, abs(off), p0, p1)
+                i_lo = max(1, 1 - off)
+                i_hi = min(n_blk, m_blk - off, (d_blk - off) // 2)
+                if i_lo > i_hi:
+                    continue
+                diffs = (
+                    a_pad[first - p0 :, i_lo - 1 : i_hi]
+                    - b_pad[first - p0 :, i_lo - 1 + off : i_hi + off]
+                )
+                np.multiply(diffs, diffs, out=diffs)
+                np.sqrt(
+                    np.add.reduce(diffs, axis=-1).T,
+                    out=table[
+                        2 * i_lo + off : 2 * i_hi + off + 1 : 2,
+                        (off + band_max) // 2 + 1,
+                        first:p1,
+                    ],
+                )
+        rows = table.reshape(n_diags, width * n_pairs)
+        same = slice(n_pairs, (width - 1) * n_pairs)
+        below = slice(0, (width - 2) * n_pairs)
+        above = slice(2 * n_pairs, width * n_pairs)
+        step = np.empty((width - 2) * n_pairs)
+        for diag in range(2, n_diags):
+            odd = (diag + band_max) % 2
+            # (i - 1, j - 1), then (i - 1, j) and (i, j - 1).
+            np.minimum(
+                rows[diag - 2, same],
+                rows[diag - 1, above if odd else same],
+                out=step,
+            )
+            np.minimum(
+                step, rows[diag - 1, same if odd else below], out=step
+            )
+            cells = rows[diag, same]
+            np.add(cells, step, out=cells)
+        return table[
+            np.add(ns, ms),
+            (np.subtract(ms, ns) + band_max) // 2 + 1,
+            np.arange(n_pairs),
+        ]

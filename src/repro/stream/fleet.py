@@ -882,13 +882,15 @@ class FleetSimulator:
         self.config = config
         self.segmenter_config = segmenter_config
 
-    def run(self) -> FleetReport:
+    def run(self, engine: ExperimentEngine | None = None) -> FleetReport:
         """Plan, run and merge the shards of the whole fleet.
 
         The shards go through :meth:`ExperimentEngine.map
         <repro.sim.engine.ExperimentEngine.map>`, the one process
-        boundary: one shard runs inline, more run one per process, up
-        to the core count. Run it under a
+        boundary, of ``engine`` when one is given (a serial engine
+        runs every shard inline) and otherwise of a temporary engine
+        with one process per shard, up to the core count; one shard
+        always runs inline. Run it under a
         :class:`~repro.obs.trace.Tracer` for a ``fleet`` span with each
         ``shard`` below it, and the stream groups' per-stage wall time
         below those: :meth:`~repro.sim.pipeline.StageProfile.from_spans`
@@ -901,8 +903,8 @@ class FleetSimulator:
             "fleet", shards=len(tasks), streams=config.n_streams
         ):
             jobs = min(len(tasks), os.cpu_count() or 1)
-            with ExperimentEngine(jobs=jobs) as engine:
-                for result in engine.map(run_shard, tasks):
+            with ExperimentEngine.scoped(engine, jobs) as eng:
+                for result in eng.map(run_shard, tasks):
                     accumulator.add(result)
             report = accumulator.report(config)
         registry = current_metrics()

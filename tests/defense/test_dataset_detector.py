@@ -81,6 +81,30 @@ class TestSplitFilter:
         with pytest.raises(DefenseError):
             small_dataset.filter(lambda meta: False)
 
+    def test_select_equals_building_with_the_subset(self, small_dataset):
+        subset = ("envelope_correlation", "trace_power_db")
+        built = build_dataset(
+            DatasetConfig(
+                commands=("alexa",),
+                distances_m=(1.0,),
+                n_trials=4,
+                attacker_kind="single_full",
+                feature_subset=subset,
+                seed=21,
+            )
+        )
+        selected = small_dataset.select(subset)
+        assert selected.feature_names == built.feature_names == subset
+        assert selected.features.tobytes() == built.features.tobytes()
+        assert np.array_equal(selected.labels, built.labels)
+        assert selected.metadata == built.metadata
+
+    def test_select_unknown_feature_rejected(self, small_dataset):
+        with pytest.raises(DefenseError):
+            small_dataset.select(("trace_power_db", "loudness"))
+        with pytest.raises(DefenseError):
+            small_dataset.select(())
+
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DefenseError):
             LabeledDataset(

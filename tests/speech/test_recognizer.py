@@ -1,5 +1,7 @@
 """Unit tests for the DTW keyword recogniser."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,32 @@ class TestDtwInternals:
         recognizer = KeywordRecognizer()
         with pytest.raises(RecognitionError):
             self.distance(recognizer, np.zeros((0, 4)), np.zeros((5, 4)))
+
+    def test_empty_batch_is_empty(self, enrolled_recognizer):
+        assert enrolled_recognizer.recognize_many([]) == []
+
+    def test_working_set_is_bounded_by_the_cell_budget(
+        self, enrolled_recognizer, monkeypatch
+    ):
+        """A 2048-pair batch sweeps in slabs of at most
+        ``MAX_SLAB_CELLS`` cells, so the DTW's peak allocation stays
+        within 1.5x the budget's bytes instead of growing with the
+        batch (one slab of padded feature stacks would take ~140 MB)."""
+        wave = synthesize_command("take_a_picture", np.random.default_rng(5))
+        query = enrolled_recognizer._featurize(wave)
+        # Featurisation is per recording; only the DTW is batched.
+        monkeypatch.setattr(
+            enrolled_recognizer, "_featurize", lambda recording: query
+        )
+        n_templates = sum(
+            len(group) for group in enrolled_recognizer._templates.values()
+        )
+        recordings = [wave] * -(-2048 // n_templates)
+        tracemalloc.start()
+        try:
+            results = enrolled_recognizer.recognize_many(recordings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(recordings)
+        assert peak < 1.5 * 8 * KeywordRecognizer.MAX_SLAB_CELLS

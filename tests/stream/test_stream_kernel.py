@@ -515,7 +515,7 @@ class TestRecognizeMany:
         results are the single-slab ones exactly."""
         recordings, recognizer = stream_probes
         whole = recognizer.recognize_many(recordings)
-        monkeypatch.setattr(KeywordRecognizer, "MAX_PAIRS", 1)
+        monkeypatch.setattr(KeywordRecognizer, "MAX_SLAB_CELLS", 1)
         sliced = recognizer.recognize_many(recordings)
         for a, b in zip(whole, sliced):
             assert self.fields(a) == self.fields(b)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.__main__ import build_parser, main
+from repro.sim import engine
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,21 @@ class TestS1:
         assert fleet_rows
         # Stream-time detection latency: positive, under a second.
         assert all(0.0 < row[5] < 1000.0 for row in fleet_rows)
+
+    def test_serial_engine_runs_shards_inline(
+        self, tables, capsys, monkeypatch
+    ):
+        """S1 runs its shards on the CLI's engine: ``--jobs 1
+        --shards 2`` starts no process pool and prints the one-shard
+        table."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a serial run built a process pool")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        assert main(["S1", "--jobs", "1", "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"=== S1\n{tables['S1'].render()}\n\n"
 
 
 class TestCli:
