@@ -3,8 +3,9 @@
 The trial pipeline has one kernel per stage, and a single trial is a
 chunk of one. This bench runs the same trial groups through
 :meth:`~repro.sim.pipeline.TrialPipeline.run_trials` at
-``chunk_trials=1`` and at the production
-:data:`~repro.sim.pipeline.CHUNK_TRIALS`, verifies the two give
+``chunk_trials=1`` and at the production default, which sizes chunks
+by the pipeline's cell budget
+(:func:`~repro.sim.pipeline.chunk_trials_for`), verifies the two give
 bitwise identical outcomes (successes, DTW distances and recorded
 waveforms) and times both:
 
@@ -41,7 +42,11 @@ from repro.experiments._emissions import array_split
 from repro.obs.trace import Tracer, activate
 from repro.sim.bench import write_bench_record
 from repro.sim.engine import EmissionSpec
-from repro.sim.pipeline import CHUNK_TRIALS, StageProfile, build_pipeline
+from repro.sim.pipeline import (
+    StageProfile,
+    build_pipeline,
+    chunk_trials_for,
+)
 from repro.sim.results import ResultTable
 from repro.sim.scenario import VictimDevice
 from repro.sim.spec import get_scenario
@@ -80,7 +85,8 @@ def bench_trial_group(
     """Chunk-of-one vs stacked timing for one trial-group cell."""
     n_trials = 10 if quick else 50
     pipeline, ctx = _group(scenario_name, seed)
-    best = {1: float("inf"), CHUNK_TRIALS: float("inf")}
+    # ``None`` is the budget-sized default chunk.
+    best = {1: float("inf"), None: float("inf")}
     outcomes = {}
     for _ in range(REPEATS):
         for chunk_trials in best:
@@ -95,10 +101,10 @@ def bench_trial_group(
     return {
         "workload": f"{label} ({n_trials} trials)",
         "chunk1_s": best[1],
-        "chunked_s": best[CHUNK_TRIALS],
-        "chunk_trials": CHUNK_TRIALS,
-        "speedup": best[1] / best[CHUNK_TRIALS],
-        "identical": _identical(outcomes[1], outcomes[CHUNK_TRIALS]),
+        "chunked_s": best[None],
+        "chunk_trials": chunk_trials_for(ctx),
+        "speedup": best[1] / best[None],
+        "identical": _identical(outcomes[1], outcomes[None]),
         "min_speedup": MIN_SPEEDUP,
     }
 
@@ -158,14 +164,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     table = ResultTable(
         title=(
-            "trial pipeline: chunk of one vs chunks of "
-            f"{CHUNK_TRIALS} (single worker, best of {REPEATS})"
+            "trial pipeline: chunk of one vs budget-sized chunks "
+            f"(single worker, best of {REPEATS})"
         ),
-        columns=["workload", "chunk 1 s", "chunked s", "speedup"],
+        columns=[
+            "workload", "chunk trials", "chunk 1 s", "chunked s", "speedup"
+        ],
     )
     for result in results:
         table.add_row(
             result["workload"],
+            result["chunk_trials"],
             result["chunk1_s"],
             result["chunked_s"],
             result["speedup"],

@@ -210,8 +210,8 @@ class PropagationModel:
         attenuated = attenuated * spreading
         if not self.include_delay:
             return attenuated
-        # Fractional-sample delay per path, exactly as Signal.delayed:
-        # integer shift + linear interpolation for the remainder.
+        # Fractional-sample delay per path: integer shift + linear
+        # interpolation for the remainder.
         wholes, shifted_rows = [], []
         x = np.arange(n, dtype=np.float64)
         for row, distance in zip(attenuated, distances):

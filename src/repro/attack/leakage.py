@@ -27,6 +27,11 @@ from repro.psychoacoustics.audibility import (
 from repro.psychoacoustics.threshold import AUDIBLE_HIGH_HZ
 from repro.errors import AttackConfigError
 
+#: The bystander path's default model. One shared instance, so its
+#: per-(bin layout, distance) absorption memo serves every probe of
+#: a drive-level search instead of starting empty on each.
+_BYSTANDER_PROPAGATION = PropagationModel(include_delay=False)
+
 
 def audible_leakage(
     speaker: UltrasonicSpeaker,
@@ -47,7 +52,7 @@ def audible_leakage(
             f"bystander distance must be positive, got "
             f"{bystander_distance_m}"
         )
-    model = propagation or PropagationModel(include_delay=False)
+    model = propagation or _BYSTANDER_PROPAGATION
     radiated = speaker.play(drive, drive_level)
     # Brick-wall FFT cut rather than an IIR low-pass: the deliberately
     # ultrasonic content is tens of dB stronger than the leakage, so

@@ -341,32 +341,6 @@ class Signal:
             )
         return self.padded(n_after=n_samples - self.n_samples)
 
-    def delayed(self, delay_seconds: float) -> "Signal":
-        """Return the signal delayed by a (possibly fractional) time.
-
-        The delay is implemented as an integer shift plus linear
-        interpolation for the fractional remainder, which is accurate
-        for signals oversampled relative to their content (as all
-        acoustic-rate signals in this library are).
-        """
-        if delay_seconds < 0:
-            raise SignalDomainError(
-                f"delay must be non-negative, got {delay_seconds}"
-            )
-        total = delay_seconds * self._sample_rate
-        whole = int(math.floor(total))
-        frac = total - whole
-        if frac > 1e-9:
-            x = np.arange(self.n_samples, dtype=np.float64)
-            shifted = np.interp(
-                x - frac, x, self._samples, left=0.0, right=0.0
-            )
-        else:
-            shifted = self._samples
-        return self.replace(
-            samples=np.concatenate([np.zeros(whole), shifted])
-        )
-
     def faded(self, fade_seconds: float) -> "Signal":
         """Apply raised-cosine fade-in and fade-out of the given length.
 

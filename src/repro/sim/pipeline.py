@@ -11,7 +11,10 @@ where each stage carries one kernel over a trial chunk: the stacked
 trial is a chunk of one, so there is no second, per-trial statement
 of the chain to keep in sync; :meth:`TrialPipeline.run_trials` is the
 only executor, and :class:`~repro.sim.runner.ScenarioRunner` calls it
-with one generator at a time.
+with one generator at a time. The executor's chunks are sized by a
+cell budget (:data:`MAX_CHUNK_CELLS`), not a trial count, so its
+working set is bounded by the budget whatever the group size or the
+waveform length.
 
 Per-trial random draws are the determinism discipline: a kernel draws
 from ``rngs[i]`` for row ``i`` only, in row order, so every trial
@@ -45,15 +48,16 @@ from repro.obs.trace import current_tracer
 from repro.sim.cache import EmissionCache, stable_key
 from repro.sim.scenario import Scenario, VictimDevice
 
-#: Trials stacked per batched executor pass. Sixteen acoustic-rate
-#: rows keep every intermediate in the low tens of MB — large enough
-#: that a 10-trial dataset cell or a 50-trial sweep group pays the
-#: per-chunk fixed costs (filter design, zero-phase initial
-#: conditions, batch construction) a handful of times rather than
-#: per-trial, small enough that the filter chain's temporaries stay
-#: within memory bounds. Row-at-a-time filtering keeps the hot DSP
-#: cache-resident regardless of the stack height.
-CHUNK_TRIALS = 16
+#: Float64 cells one stacked executor pass may hold per trial-chunk
+#: array (8 MB), the same budget the recogniser's DTW slabs use. The
+#: default chunk is as many trials as fit in it at the chunk's longest
+#: row (:func:`chunk_trials_for`): 6 rows of a 174 720-sample arrived
+#: wave, 2 of a 450 240-sample one. The pipeline's working set then
+#: stays a small multiple of the budget whatever the trial count, while
+#: short rows still share the per-chunk fixed costs (filter design,
+#: zero-phase initial conditions, batch construction); row-at-a-time
+#: filtering keeps the hot DSP cache-resident at any stack height.
+MAX_CHUNK_CELLS = 1 << 20
 
 #: Transmitted interference beds retained per invariants cache. Real
 #: runs see a handful of (geometry, sample rate) combinations; the
@@ -224,6 +228,22 @@ class TrialContext:
     clean_interference: Signal | None = None
 
 
+def chunk_trials_for(ctx: TrialContext) -> int:
+    """The default trials per chunk: :data:`MAX_CHUNK_CELLS` over the
+    longest row the chunk carries (the arrived attack wave or the
+    interference bed), and at least one. A context without waveforms
+    (synthetic pipelines) runs every trial in one chunk."""
+    longest = max(
+        (
+            wave.n_samples
+            for wave in (ctx.clean_attack, ctx.clean_interference)
+            if wave is not None
+        ),
+        default=1,
+    )
+    return max(1, MAX_CHUNK_CELLS // longest)
+
+
 #: Recognised ``precision=`` values, in golden-first order.
 _PRECISIONS = ("float64", "float32")
 
@@ -387,20 +407,25 @@ class TrialPipeline:
         self,
         ctx: TrialContext,
         rngs: Sequence[np.random.Generator],
-        chunk_trials: int = CHUNK_TRIALS,
+        chunk_trials: int | None = None,
     ) -> list:
         """Every trial's final value, in generator order.
 
         The generators stream through the stage kernels in chunks of
-        at most ``chunk_trials``; the results are bitwise the same for
-        every chunk size. Under an ambient tracer each stage call
-        records one span with ``mode="batch"`` and ``trials=n``.
+        at most ``chunk_trials``; ``None`` sizes the chunks by the cell
+        budget (:func:`chunk_trials_for`), so a stacked stage value
+        holds at most :data:`MAX_CHUNK_CELLS` cells whatever the trial
+        count. The results are bitwise the same for every chunk size.
+        Under an ambient tracer each stage call records one span with
+        ``mode="batch"`` and ``trials=n``.
         """
         rngs = list(rngs)
         if not rngs:
             raise ExperimentError(
                 "run_trials needs >= 1 trial generator"
             )
+        if chunk_trials is None:
+            chunk_trials = chunk_trials_for(ctx)
         if chunk_trials < 1:
             raise ExperimentError(
                 f"chunk_trials must be >= 1, got {chunk_trials}"

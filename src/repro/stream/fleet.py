@@ -25,10 +25,15 @@ concurrency-model playbook (SNIPPETS.md §1) the way Harmonia
 partitions replicated reads:
 
 * **Independent shards.** :func:`plan_shards` partitions the streams
-  into :class:`ShardTask` recipes; :func:`run_shard` synthesises one
-  shard's slice of recordings (:func:`synthesize_utterances`,
-  emission-cached per process through :mod:`repro.sim.engine`) and
-  drives its partition (:func:`drive_streams`). The shards cross the
+  into :class:`ShardTask` recipes; :func:`run_shard` walks its
+  partition one block of ``batch_streams`` streams at a time,
+  synthesising the block's recordings (:func:`synthesize_utterances`,
+  with the emissions, the enrolled device and the trial contexts
+  cached per process through :mod:`repro.sim.engine`), driving the
+  block (:func:`drive_streams`) and dropping its recordings. The
+  shard's working set is one block's, whatever the fleet's size: a
+  device never holds its whole audio history, and neither does the
+  fleet. The shards cross the
   repository's one process boundary,
   :meth:`~repro.sim.engine.ExperimentEngine.map`: one shard runs
   inline, more run one per process, and under a tracer their spans
@@ -46,8 +51,9 @@ partitions replicated reads:
 
 Wall-clock throughput is reported separately:
 :attr:`FleetReport.wall_seconds` is the slowest shard's streaming
-wall clock, and :attr:`FleetReport.shard_wall_seconds` keeps every
-shard's, so load imbalance is visible. ``benchmarks/bench_stream.py``
+wall clock (the sum of its blocks' streaming windows), and
+:attr:`FleetReport.shard_wall_seconds` keeps every shard's, so load
+imbalance is visible. ``benchmarks/bench_stream.py``
 records it in ``BENCH_stream.json``.
 """
 
@@ -75,6 +81,7 @@ from repro.sim.engine import (
     ExperimentEngine,
     cached_voice,
     partition_evenly,
+    process_cache,
 )
 from repro.sim.pipeline import build_pipeline, level_stage
 from repro.sim.spec import RIG_POSITION, get_scenario
@@ -140,9 +147,11 @@ class FleetConfig:
         configs with it; it goes with ``workers`` when that benchmark
         is next revised.
     batch_streams:
-        Streams per lockstep group (``vectorized`` mode). Any value
-        produces the identical digest; it trades batched-op width
-        against working-set memory.
+        Streams per block: a shard synthesises, streams and drops
+        this many streams' recordings at a time, and drives them as
+        one lockstep group (``vectorized`` mode). Any value produces
+        the identical digest; it trades batched-op width against
+        working-set memory.
     """
 
     scenario: str = "free_field"
@@ -260,13 +269,16 @@ class FleetReport:
     config: FleetConfig
     sample_rate: float
     streams: list[StreamResult] = field(repr=False)
-    #: Utterance synthesis, the workload generation before streaming
-    #: starts.
+    #: Utterance synthesis, the workload generation (the slowest
+    #: shard's): the sum of its blocks' synthesis windows.
     prepare_seconds: float = 0.0
-    #: The outer wall clock of the streaming phase (the slowest
-    #: shard's): ambient timeline draws, ingestion, segmentation,
-    #: Welch accumulation and the decide phase (recognition +
-    #: detection).
+    #: The streaming phase's wall clock (the slowest shard's): the sum
+    #: of its blocks' streaming windows, covering ambient timeline
+    #: draws, ingestion, segmentation, Welch accumulation and the
+    #: decide phase (recognition + detection). A shard alternates
+    #: synthesis and streaming block by block, so for one shard
+    #: ``prepare_seconds + wall_seconds`` is its outer wall clock, less
+    #: only the per-block bookkeeping between the windows.
     wall_seconds: float = 0.0
     #: Per-shard streaming wall clock, one entry per shard in shard
     #: order. The spread diagnoses load imbalance; ``wall_seconds``
@@ -398,52 +410,53 @@ def synthesize_utterances(
     regardless of slot count, with per-slot generators keeping every
     stream's draws independent; each trial's outcome depends only on
     its own generator, so synthesising any *subset* of slots (a
-    shard's partition) is bitwise identical to the full pass. The
-    voice and both class emissions come from the engine's per-process
-    cache (:func:`~repro.sim.engine.cached_voice`,
-    :class:`~repro.sim.engine.EmissionSpec`), so a shard process
-    builds each waveform once and reuses it across every task it
-    executes. Shared by the fleet's shards and the S1 experiment's
-    parity probes.
+    shard's partition, or one stream block of it) is bitwise identical
+    to the full pass. The voice, both class emissions, the enrolled
+    device and both classes' trial contexts (the transmitted waves)
+    come from the engine's per-process cache
+    (:func:`~repro.sim.engine.process_cache`), so a process builds
+    each once and a call pays only its slots' per-trial stages. Shared
+    by the fleet's shards and the S1 experiment's parity probes.
     """
     spec = get_scenario(scenario_name)
     scenario = spec.build(command, distance_m)
-    device = spec.build_device()
+    cache = process_cache()
+    # The device is a pure function of its preset (microphone,
+    # commands, enrolment seed); callers share it read-only.
+    device = cache.get_or_compute(
+        stable_key("fleet-device", spec.device), spec.build_device
+    )
     recordings: list[Signal | None] = [None] * len(rng_children)
-    attack_slots = [
-        k for k in range(len(rng_children)) if attack_mask[k]
-    ]
-    genuine_slots = [
-        k for k in range(len(rng_children)) if not attack_mask[k]
-    ]
-    if attack_slots:
-        emission = EmissionSpec(
-            attack_fleet_emission, (command, voice_seed)
-        )
-        pipeline = build_pipeline(
-            scenario, device.microphone, recognize=False
-        )
-        ctx = pipeline.context(list(emission.sources()))
-        rows = pipeline.run_trials(
-            ctx, [rng_children[k] for k in attack_slots]
-        )
-        for k, row in zip(attack_slots, rows):
-            recordings[k] = row
-    if genuine_slots:
-        emission = EmissionSpec(
-            genuine_fleet_emission, (command, voice_seed)
-        )
+    for is_attack, emit, gain_stage in (
+        (True, attack_fleet_emission, None),
+        (
+            False,
+            genuine_fleet_emission,
+            level_stage(55.0, 68.0, GENUINE_REFERENCE_SPL),
+        ),
+    ):
+        slots = [
+            k
+            for k in range(len(rng_children))
+            if bool(attack_mask[k]) == is_attack
+        ]
+        if not slots:
+            continue
+        emission = EmissionSpec(emit, (command, voice_seed))
         pipeline = build_pipeline(
             scenario,
             device.microphone,
             recognize=False,
-            gain_stage=level_stage(55.0, 68.0, GENUINE_REFERENCE_SPL),
+            gain_stage=gain_stage,
         )
-        ctx = pipeline.context(list(emission.sources()))
-        rows = pipeline.run_trials(
-            ctx, [rng_children[k] for k in genuine_slots]
+        # Keyed by the emission recipe and the whole scene it crosses
+        # (geometry, room, weather, interference).
+        ctx = cache.get_or_compute(
+            stable_key("fleet-context", emission.key, scenario),
+            lambda: pipeline.context(list(emission.sources())),
         )
-        for k, row in zip(genuine_slots, rows):
+        rows = pipeline.run_trials(ctx, [rng_children[k] for k in slots])
+        for k, row in zip(slots, rows):
             recordings[k] = row
     return recordings, device.recognizer
 
@@ -680,55 +693,72 @@ class ShardResult:
 
 
 def run_shard(task: ShardTask) -> ShardResult:
-    """Execute one shard: synthesise its slice, stream every device.
+    """Execute one shard, one block of ``config.batch_streams``
+    streams at a time: synthesise the block's recordings, stream its
+    devices, drop the recordings.
+
+    The shard's working set is therefore one block's, not the
+    shard's: recordings exist only while their block streams, and the
+    synthesis stacks are bounded by the pipeline's cell budget. Each
+    stream's outcome is a pure function of its own seeds, so the block
+    split changes no bit. ``prepare_seconds`` and ``wall_seconds`` are
+    the sums of the blocks' synthesis and streaming windows.
 
     Module-level so :meth:`~repro.sim.engine.ExperimentEngine.map`
     pickles it by reference; a single shard and the hypothesis
     partition property call it inline, so every shard count runs the
-    identical code path. The shard runs in a ``shard`` span, with the
-    synthesis, kernel-cycle and utterance spans nested below, on
-    whatever tracer is ambient (in a pool worker, the local one the
-    engine brings home).
+    identical code path. The shard runs in a ``shard`` span, with each
+    block's ``synthesize`` span and its kernel-cycle and utterance
+    spans nested below, on whatever tracer is ambient (in a pool
+    worker, the local one the engine brings home).
     """
     config = task.config
-    with maybe_span(
-        "shard", shard=task.shard_index, streams=len(task.stream_indices)
-    ):
-        rng_children = [
-            np.random.default_rng(seq)
-            for stream in task.slot_seqs
-            for seq in stream
-        ]
-        attack_mask = np.array(
-            [flag for stream in task.slot_attacks for flag in stream],
-            dtype=bool,
-        )
-        prepare_started = time.perf_counter()
-        with maybe_span("synthesize", slots=len(rng_children)):
-            recordings, recognizer = synthesize_utterances(
-                config.scenario,
-                config.command,
-                config.distance_m,
-                rng_children,
-                attack_mask,
-                voice_seed=config.seed,
+    n_streams = len(task.stream_indices)
+    streams: list[StreamResult] = []
+    prepare_seconds = wall_seconds = 0.0
+    with maybe_span("shard", shard=task.shard_index, streams=n_streams):
+        for lo in range(0, n_streams, config.batch_streams):
+            block = slice(lo, lo + config.batch_streams)
+            rng_children = [
+                np.random.default_rng(seq)
+                for stream in task.slot_seqs[block]
+                for seq in stream
+            ]
+            attack_mask = np.array(
+                [
+                    flag
+                    for stream in task.slot_attacks[block]
+                    for flag in stream
+                ],
+                dtype=bool,
             )
-        prepare_seconds = time.perf_counter() - prepare_started
-        rate = check_fleet_rate(recordings)
+            started = time.perf_counter()
+            with maybe_span("synthesize", slots=len(rng_children)):
+                recordings, recognizer = synthesize_utterances(
+                    config.scenario,
+                    config.command,
+                    config.distance_m,
+                    rng_children,
+                    attack_mask,
+                    voice_seed=config.seed,
+                )
+            prepare_seconds += time.perf_counter() - started
+            rate = check_fleet_rate(recordings)
 
-        started = time.perf_counter()
-        streams = drive_streams(
-            config,
-            task.detector,
-            task.segmenter_config,
-            task.stream_indices,
-            rate,
-            recognizer,
-            recordings,
-            attack_mask,
-            task.stream_seqs,
-        )
-        wall_seconds = time.perf_counter() - started
+            started = time.perf_counter()
+            streams += drive_streams(
+                config,
+                task.detector,
+                task.segmenter_config,
+                task.stream_indices[block],
+                rate,
+                recognizer,
+                recordings,
+                attack_mask,
+                task.stream_seqs[block],
+            )
+            wall_seconds += time.perf_counter() - started
+            del recordings  # freed before the next block synthesises
     return ShardResult(
         shard_index=task.shard_index,
         sample_rate=rate,

@@ -170,7 +170,7 @@ def decide(
             closed[i][1].finalize(closed[i][0], length) for i in members
         ]
         analyses = analyses_from_psd(
-            SignalBatch(
+            SignalBatch.adopt(
                 np.stack([closed[i][0] for i in members]), rate, unit
             ),
             finalized[0][0],

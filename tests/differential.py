@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.pipeline import CHUNK_TRIALS, build_pipeline
+from repro.sim.pipeline import build_pipeline
 
 #: Chunk sizes the invariance property compares: one trial at a time,
-#: a size that splits the trials unevenly, and the production chunk.
-CHUNK_SIZES = (1, 3, CHUNK_TRIALS)
+#: a size that splits the trials unevenly, and the production chunk
+#: (``None``: sized by the pipeline's cell budget).
+CHUNK_SIZES = (1, 3, None)
 
 
 def outcomes_identical(a, b, compare_recordings: bool = True) -> bool:

@@ -138,16 +138,6 @@ class TestSignalShaping:
         with pytest.raises(SignalDomainError):
             Signal([1.0, 2.0], 10.0).padded_to(1)
 
-    def test_delayed_integer_samples(self):
-        s = Signal([1.0, 2.0], 10.0).delayed(0.2)
-        assert list(s.samples[:2]) == [0.0, 0.0]
-        assert s.samples[2] == pytest.approx(1.0)
-
-    def test_delayed_fractional_interpolates(self):
-        s = Signal([0.0, 1.0, 0.0], 10.0).delayed(0.05)
-        # Half-sample delay: the peak spreads between samples 1 and 2.
-        assert 0.0 < s.samples[1] < 1.0
-
     def test_faded_edges_attenuate(self):
         s = tone(10.0, 1.0, 1000.0).faded(0.1)
         assert abs(s.samples[0]) < 1e-9

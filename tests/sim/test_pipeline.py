@@ -15,6 +15,8 @@ Three groups of guarantees:
   size.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,12 @@ from repro.hardware.microphone import Microphone
 from repro.sim.cache import EmissionCache
 from repro.sim.engine import EmissionSpec
 from repro.sim.pipeline import (
-    CHUNK_TRIALS,
+    MAX_CHUNK_CELLS,
     Stage,
     TrialContext,
     TrialPipeline,
     build_pipeline,
+    chunk_trials_for,
     level_stage,
 )
 from repro.sim.runner import ScenarioRunner
@@ -252,7 +255,7 @@ class TestExecutorEquivalence:
                 np.random.default_rng(seed).spawn(n_trials),
                 chunk_trials=chunk,
             )
-            for chunk in (1, chunk_trials, CHUNK_TRIALS)
+            for chunk in (1, chunk_trials, None)
         ]
         for rows in runs:
             assert len(rows) == n_trials
@@ -302,6 +305,55 @@ class TestExecutorEquivalence:
             )
 
 
+class TestChunkBudget:
+    def test_default_chunk_is_the_cell_budget_over_the_longest_row(
+        self, phone_device, emission_sources
+    ):
+        """The default chunk holds as many trials as the cell budget
+        fits at the longest row it carries — the interference bed when
+        it outlasts the attack wave — and at least one."""
+        contexts = {}
+        for name in ("free_field", "tv_interference"):
+            scenario = get_scenario(name).build("ok_google", 3.0)
+            pipeline = build_pipeline(scenario, phone_device)
+            contexts[name] = pipeline.context(emission_sources)
+        attack = contexts["free_field"].clean_attack.n_samples
+        bed = contexts["tv_interference"].clean_interference.n_samples
+        assert bed > attack
+        assert chunk_trials_for(contexts["free_field"]) == (
+            MAX_CHUNK_CELLS // attack
+        )
+        assert chunk_trials_for(contexts["tv_interference"]) == (
+            MAX_CHUNK_CELLS // bed
+        )
+        assert chunk_trials_for(TrialContext(None)) == MAX_CHUNK_CELLS
+
+    def test_working_set_is_bounded_by_the_cell_budget(
+        self, phone_device, emission_sources
+    ):
+        """Sixteen trials over a 388k-sample interference bed run in
+        budget-sized chunks, so the executor's peak traced allocation,
+        beyond the recordings it returns, stays within a small
+        multiple of the budget's bytes (a 16-trial stack of the same
+        rows peaked near 30x)."""
+        scenario = get_scenario("tv_interference").build("ok_google", 3.0)
+        pipeline = build_pipeline(
+            scenario, phone_device.microphone, recognize=False
+        )
+        ctx = pipeline.context(emission_sources)
+        assert ctx.clean_interference.n_samples * 16 > 4 * MAX_CHUNK_CELLS
+        rngs = np.random.default_rng(3).spawn(16)
+        tracemalloc.start()
+        try:
+            rows = pipeline.run_trials(ctx, rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(row.samples.nbytes for row in rows)
+        assert len(rows) == 16
+        assert peak - returned < 6 * 8 * MAX_CHUNK_CELLS
+
+
 class TestLevelStage:
     def test_inverted_range_rejected(self):
         with pytest.raises(ExperimentError, match="inverted"):
@@ -323,7 +375,7 @@ class TestLevelStage:
         captured_single: list[float] = []
         outcomes = {}
         for label, capture, chunk in (
-            ("chunked", captured_chunked, CHUNK_TRIALS),
+            ("chunked", captured_chunked, None),
             ("single", captured_single, 1),
         ):
             pipeline = build_pipeline(

@@ -25,7 +25,6 @@ from repro.experiments._emissions import ATTACKER_POSITION, single_full
 from repro.obs.trace import Tracer, activate
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
 from repro.sim.pipeline import (
-    CHUNK_TRIALS,
     StageProfile,
     build_pipeline,
     resolve_precision,
@@ -155,7 +154,7 @@ class TestFloat32FastPath:
         assert np.max(np.abs(fast - golden) / scale) < 1e-2
 
 
-def _traced_profile(pipeline, ctx, runs, n_trials, chunk_trials=CHUNK_TRIALS):
+def _traced_profile(pipeline, ctx, runs, n_trials, chunk_trials=None):
     tracer = Tracer()
     with activate(tracer):
         for _ in range(runs):

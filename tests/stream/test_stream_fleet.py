@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from strategies import chunk_partitions
 
 from repro.errors import StreamError
+from repro.obs.trace import Tracer, activate
 from repro.stream.fleet import (
     FleetConfig,
     FleetSimulator,
@@ -140,6 +142,92 @@ class TestWallAccounting:
         assert len(report.shard_wall_seconds) == shards
         if shards == 1:
             assert report.wall_seconds + report.prepare_seconds <= outer
+
+
+def _table(report):
+    """What the S1 table prints of a fleet: dispositions, latency
+    statistics and the digest."""
+    stats = report.latency_stats()
+    return (
+        report.n_vetoed,
+        report.n_executed,
+        report.n_rejected,
+        stats.mean,
+        stats.quantile(0.5),
+        stats.quantile(0.99),
+        stats.max,
+        report.digest_hex(),
+    )
+
+
+class TestStreamBlocks:
+    def test_block_width_and_shard_count_never_change_results(
+        self, stream_detector
+    ):
+        """Each shard synthesises and streams one block of
+        ``batch_streams`` streams at a time; blocks of one, uneven
+        blocks and one whole-fleet block, over 1, 2 and 4 shards, all
+        give the same digest and table."""
+        n_streams = 5
+        reports = {}
+        for batch_streams in (1, 3, n_streams):
+            for shards in (1, 2, 4):
+                config = FleetConfig(
+                    n_streams=n_streams,
+                    utterances_per_stream=2,
+                    seed=13,
+                    shards=shards,
+                    batch_streams=batch_streams,
+                )
+                reports[batch_streams, shards] = FleetSimulator(
+                    stream_detector, config
+                ).run()
+        reference = reports[n_streams, 1]
+        for key, report in reports.items():
+            assert report.digest() == reference.digest(), key
+            assert _table(report) == _table(reference), key
+
+    def test_one_synthesis_per_block(self, stream_detector):
+        """A shard's synthesis spans are its blocks, in order."""
+        config = FleetConfig(
+            n_streams=5, utterances_per_stream=2, seed=13, batch_streams=2
+        )
+        tracer = Tracer()
+        with activate(tracer):
+            FleetSimulator(stream_detector, config).run()
+        assert [
+            span.attrs["slots"]
+            for span in tracer.spans
+            if span.name == "synthesize"
+        ] == [4, 4, 2]
+
+    def test_working_set_does_not_grow_with_the_fleet(
+        self, stream_detector, stream_probes
+    ):
+        """At a fixed block width, 8 blocks peak no higher than 2:
+        only one block's recordings and synthesis stacks are alive at
+        a time, so twelve more streams' recordings add (almost)
+        nothing to the run's peak traced allocation."""
+
+        def config(n_streams):
+            return FleetConfig(n_streams=n_streams, seed=5, batch_streams=2)
+
+        # Fill the process caches (voice, emissions, device, contexts).
+        FleetSimulator(stream_detector, config(2)).run()
+        peaks = {}
+        for n_streams in (4, 16):
+            tracemalloc.start()
+            try:
+                report = FleetSimulator(
+                    stream_detector, config(n_streams)
+                ).run()
+                peaks[n_streams] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(report.streams) == n_streams
+        recordings, _ = stream_probes
+        extra = 12 * recordings[0].samples.nbytes
+        assert peaks[16] - peaks[4] < 0.25 * extra
 
 
 class TestConfigValidation:
