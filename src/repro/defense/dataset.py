@@ -243,10 +243,7 @@ def _cell_scenario(
     return scenario
 
 
-def build_dataset(
-    config: DatasetConfig,
-    precision: str | None = None,
-) -> LabeledDataset:
+def build_dataset(config: DatasetConfig) -> LabeledDataset:
     """Synthesise the dataset a :class:`DatasetConfig` describes.
 
     Attack emissions are generated once per command and reused across
@@ -256,11 +253,7 @@ def build_dataset(
     from ambient noise, microphone self-noise and the talker-level
     gain. Every (command, distance, class) cell executes through the
     shared trial pipeline, and features come from one batched pass
-    over every recording. ``precision`` selects the pipeline's numeric mode
-    (:func:`repro.sim.pipeline.resolve_precision`): ``"float64"`` is
-    the bitwise-frozen golden default, ``"float32"`` the opt-in
-    fast-math path whose features agree within tolerance rather than
-    bitwise.
+    over every recording.
     """
     spec = config.resolve_scenario()
     try:
@@ -304,7 +297,6 @@ def build_dataset(
                     capture=levels,
                 ),
                 invariants=invariants,
-                precision=precision,
             )
             genuine_recordings = genuine_pipeline.run_trials(
                 genuine_pipeline.context(genuine_sources),
@@ -329,7 +321,6 @@ def build_dataset(
                 microphone,
                 recognize=False,
                 invariants=invariants,
-                precision=precision,
             )
             attack_recordings = attack_pipeline.run_trials(
                 attack_pipeline.context(attack_sources),

@@ -139,14 +139,9 @@ def sos_filtfilt_array(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     ``*_array`` variants both land here, so a stacked
     ``(n_signals, n_samples)`` batch is filtered row-by-row with
     *bitwise* the same arithmetic as one waveform at a time — a 1-D
-    waveform is a batch of one.
-
-    Float32 input stays float32 (the opt-in fast-math path); anything
-    else is promoted to float64, the golden mode.
+    waveform is a batch of one. Input is promoted to float64.
     """
-    x = np.asarray(x)
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise FilterDesignError(
             f"expected a 1-D waveform or 2-D (n_signals, n_samples) "
@@ -174,7 +169,7 @@ def sos_filtfilt_array(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         # No output buffer: the filtered view is returned as is, so a
         # long waveform costs no extra copy.
-        return _filtfilt_row(x, sos, zi, edge).astype(dtype, copy=False)
+        return _filtfilt_row(x, sos, zi, edge)
     out = np.empty_like(x)
     for index in range(x.shape[0]):
         out[index] = _filtfilt_row(x[index], sos, zi, edge)

@@ -58,21 +58,20 @@ def rational_ratio(
 
 
 @lru_cache(maxsize=64)
-def _polyphase_window(up: int, down: int, dtype: type) -> np.ndarray:
+def _polyphase_window(up: int, down: int) -> np.ndarray:
     """The anti-aliasing FIR ``resample_poly`` designs by default for
     ``up/down`` (in lowest terms, as :func:`rational_ratio` returns
-    it), memoised per ratio and dtype (read-only: shared).
+    it), memoised per ratio (read-only: shared).
 
     scipy designs a Kaiser (beta 5) low-pass of
     ``20 * max(up, down) + 1`` taps cut at ``1 / max(up, down)`` of
-    Nyquist in the input's dtype — the same ``firwin`` call, so
-    passing this array as ``window=`` is bitwise the default, without
-    the per-call redesign.
+    Nyquist — the same ``firwin`` call, so passing this array as
+    ``window=`` is bitwise the default, without the per-call redesign.
     """
     max_rate = max(up, down)
     h = sp_signal.firwin(
         20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0)
-    ).astype(dtype)
+    )
     h.flags.writeable = False
     return h
 
@@ -85,11 +84,9 @@ def resample_array(
     The shared implementation under :func:`resample` and the batched
     trial kernel: a stacked ``(n_signals, n_samples)`` batch resamples
     row-by-row with bitwise the same arithmetic as one waveform at a
-    time. Float32 input stays float32 (the opt-in fast-math path);
-    anything else is promoted to float64, the golden mode.
+    time. Input is promoted to float64.
     """
-    dtype = np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise SampleRateError(
             f"expected a 1-D waveform or 2-D (n_signals, n_samples) "
@@ -100,11 +97,8 @@ def resample_array(
     up, down = rational_ratio(target_rate, source_rate)
     if up == down:  # equal rates within rational_ratio's tolerance
         return x.copy()
-    return np.asarray(
-        sp_signal.resample_poly(
-            x, up, down, axis=-1, window=_polyphase_window(up, down, dtype)
-        ),
-        dtype=dtype,
+    return sp_signal.resample_poly(
+        x, up, down, axis=-1, window=_polyphase_window(up, down)
     )
 
 

@@ -58,9 +58,7 @@ class Signal:
     ----------
     samples:
         One-dimensional array-like of real samples. Copied and cast to
-        ``float64`` — except ``float32`` input, which is kept as is
-        (the opt-in fast-math path; see
-        :func:`repro.sim.pipeline.build_pipeline`).
+        ``float64``.
     sample_rate:
         Sampling frequency in hertz; must be positive.
     unit:
@@ -82,12 +80,7 @@ class Signal:
         sample_rate: float,
         unit: str = Unit.DIGITAL,
     ) -> None:
-        dtype = (
-            np.float32
-            if getattr(samples, "dtype", None) == np.float32
-            else np.float64
-        )
-        array = np.asarray(samples, dtype=dtype)
+        array = np.asarray(samples, dtype=np.float64)
         if array.ndim != 1:
             raise SignalDomainError(
                 f"Signal requires a 1-D sample array, got shape "
@@ -374,8 +367,7 @@ class SignalBatch:
 
     The container behind the trial pipeline's stage kernels
     (:mod:`repro.sim.pipeline`): ``samples`` is a two-dimensional
-    ``float64`` array (``float32`` input is preserved, for the opt-in
-    fast-math path) of shape ``(n_signals, n_samples)`` — one trial
+    ``float64`` array of shape ``(n_signals, n_samples)`` — one trial
     (or one source) per row, time along the last axis. Batched DSP
     stages operate on the whole stack with ``axis=-1`` operations, so
     per-row results are bitwise identical to running each row through
@@ -394,12 +386,7 @@ class SignalBatch:
         sample_rate: float,
         unit: str = Unit.DIGITAL,
     ) -> None:
-        dtype = (
-            np.float32
-            if getattr(samples, "dtype", None) == np.float32
-            else np.float64
-        )
-        array = np.asarray(samples, dtype=dtype)
+        array = np.asarray(samples, dtype=np.float64)
         if array.ndim != 2:
             raise SignalDomainError(
                 "SignalBatch requires a 2-D (n_signals, n_samples) "
@@ -436,13 +423,13 @@ class SignalBatch:
         adopted in place instead of copied. For hot batch kernels that
         hand over ownership of an array they just computed and hold no
         other reference to; the caller must not touch ``samples``
-        afterwards. Anything that is not already a contiguous float
-        array of the right dtype falls back to the copying
+        afterwards. Anything that is not already a contiguous,
+        self-owning ``float64`` array falls back to the copying
         constructor.
         """
         if not (
             isinstance(samples, np.ndarray)
-            and samples.dtype in (np.float64, np.float32)
+            and samples.dtype == np.float64
             and samples.flags.c_contiguous
             and samples.base is None
         ):

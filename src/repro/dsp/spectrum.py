@@ -98,9 +98,7 @@ def welch_psd_matrix(
     bitwise identical to the scalar estimate of that row — the
     guarantee the batched defense feature extraction relies on.
     """
-    x = np.asarray(x)
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise SignalDomainError(
             f"welch_psd_matrix expects a 2-D (n_signals, n_samples) "
@@ -113,10 +111,8 @@ def welch_psd_matrix(
         raise SignalDomainError(f"overlap must be in [0, 1), got {overlap}")
     n_seg = min(segment_length, n_samples)
     step = max(1, int(round(n_seg * (1 - overlap))))
-    w = win.get_window(window, n_seg).astype(dtype)
-    scale = dtype(
-        1.0 / (sample_rate * np.sum(np.square(w.astype(np.float64))))
-    )
+    w = win.get_window(window, n_seg)
+    scale = 1.0 / (sample_rate * np.sum(np.square(w)))
     if n_samples >= n_seg:
         # One strided (n_signals, n_segments, n_seg) view over all
         # Welch positions, windowed and transformed in a single batched
@@ -131,7 +127,7 @@ def welch_psd_matrix(
         power = np.square(np.abs(sp_fft.rfft(segments, axis=-1))) * scale
         acc = power.sum(axis=1)
     else:  # signals shorter than one segment: single padded FFT
-        segment = np.zeros((x.shape[0], n_seg), dtype=dtype)
+        segment = np.zeros((x.shape[0], n_seg))
         segment[..., :n_samples] = x
         spectrum = sp_fft.rfft(segment * w, axis=-1)
         acc = np.square(np.abs(spectrum)) * scale

@@ -53,11 +53,7 @@ from repro.obs.trace import (
     maybe_span,
 )
 from repro.sim.cache import CacheStats, EmissionCache, stable_key
-from repro.sim.pipeline import (
-    TrialOutcome,
-    build_pipeline,
-    resolve_precision,
-)
+from repro.sim.pipeline import TrialOutcome, build_pipeline
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.speech.commands import synthesize_command
 
@@ -165,7 +161,6 @@ class _TrialTask:
     group: TrialGroup
     rngs: tuple[np.random.Generator, ...]
     keep_recordings: bool
-    precision: str
 
 
 def _run_trial_batch(task: _TrialTask) -> list[TrialOutcome]:
@@ -191,9 +186,7 @@ def _run_trial_batch(task: _TrialTask) -> list[TrialOutcome]:
     """
     group = task.group
     with maybe_span("trial-batch", trials=len(task.rngs)):
-        pipeline = build_pipeline(
-            group.scenario, group.device, precision=task.precision
-        )
+        pipeline = build_pipeline(group.scenario, group.device)
         ctx = pipeline.context(group.resolve_sources())
         outcomes = pipeline.run_trials(ctx, task.rngs)
         if not task.keep_recordings:
@@ -312,13 +305,6 @@ class ExperimentEngine:
         Worker process count; ``None`` means ``os.cpu_count()``.
         ``jobs=1`` is the serial degenerate case: no pool, no pickling,
         same numbers. Results are bit-identical for every value.
-    precision:
-        ``"float64"`` (the default golden mode) or ``"float32"`` (the
-        opt-in fast-math path); ``None`` defers to the
-        ``REPRO_FAST_MATH`` environment variable. Resolved once here —
-        workers receive the resolved string, so a pool whose processes
-        see different environments still computes one way. See
-        :func:`repro.sim.pipeline.resolve_precision`.
 
     The engine owns at most one :class:`ProcessPoolExecutor`, created
     lazily on first parallel use and reused across calls (and across
@@ -329,11 +315,7 @@ class ExperimentEngine:
     and it carries the trace across.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        precision: str | None = None,
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
         if isinstance(jobs, bool) or not isinstance(jobs, int):
@@ -343,7 +325,6 @@ class ExperimentEngine:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.precision = resolve_precision(precision)
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle ----------------------------------------------------
@@ -447,9 +428,7 @@ class ExperimentEngine:
             batches = partition_evenly(trial_rngs, batches_per_group)
             widths.append(len(batches))
             tasks.extend(
-                _TrialTask(
-                    group, tuple(batch), keep_recordings, self.precision
-                )
+                _TrialTask(group, tuple(batch), keep_recordings)
                 for batch in batches
             )
         metrics = current_metrics()

@@ -32,9 +32,8 @@ talker-level gain — through the same builders.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -244,70 +243,6 @@ def chunk_trials_for(ctx: TrialContext) -> int:
     return max(1, MAX_CHUNK_CELLS // longest)
 
 
-#: Recognised ``precision=`` values, in golden-first order.
-_PRECISIONS = ("float64", "float32")
-
-
-def resolve_precision(precision: str | None) -> str:
-    """Normalise a ``precision=`` argument against the environment.
-
-    ``None`` defers to the ``REPRO_FAST_MATH`` environment variable
-    (truthy values select ``"float32"``); anything explicit must be
-    ``"float64"`` (the default golden mode — bitwise-frozen numerics)
-    or ``"float32"`` (the opt-in fast path — same stages, single
-    precision, tolerance-bounded rather than bitwise).
-    """
-    if precision is None:
-        flag = os.environ.get("REPRO_FAST_MATH", "").strip().lower()
-        precision = (
-            "float32" if flag in ("1", "true", "yes", "on") else "float64"
-        )
-    if precision not in _PRECISIONS:
-        raise ExperimentError(
-            f"precision must be one of {_PRECISIONS}, got {precision!r}"
-        )
-    return precision
-
-
-def _cast_value(value: Any, dtype: type) -> Any:
-    """Cast a stage payload's samples to ``dtype``, type-preserving."""
-    if isinstance(value, (Signal, SignalBatch)):
-        if value.samples.dtype != dtype:
-            return value.replace(samples=value.samples.astype(dtype))
-        return value
-    if (
-        isinstance(value, np.ndarray)
-        and np.issubdtype(value.dtype, np.floating)
-        and value.dtype != dtype
-    ):
-        return value.astype(dtype)
-    return value
-
-
-def _restore_float64(value: Any) -> Any:
-    """Return fast-path outputs to float64 at the pipeline boundary.
-
-    Downstream consumers (feature extraction, serialisation, the
-    golden suites' fixtures) are written against float64 arrays; the
-    fast path keeps its reduced precision — the values are unchanged —
-    but hands them back in the default dtype so the mode never leaks
-    type surprises out of the pipeline.
-    """
-    if isinstance(value, TrialOutcome):
-        recording = value.recording
-        if (
-            recording is not None
-            and recording.samples.dtype != np.float64
-        ):
-            return dc_replace(
-                value, recording=_cast_value(recording, np.float64)
-            )
-        return value
-    if isinstance(value, list):
-        return [_restore_float64(entry) for entry in value]
-    return _cast_value(value, np.float64)
-
-
 #: Stage kernel: (context, stacked value-in, per-trial generators) ->
 #: stacked value-out. Row ``i`` may draw only from ``rngs[i]``.
 Kernel = Callable[
@@ -348,7 +283,6 @@ class TrialPipeline:
             Callable[[list[PlacedSource]], TrialContext] | None
         ) = None,
         invariants: EmissionCache | None = None,
-        precision: str | None = None,
     ) -> None:
         stages = tuple(stages)
         if not stages:
@@ -367,17 +301,6 @@ class TrialPipeline:
         #: exposed for cache-accounting tests. ``None`` for synthetic
         #: pipelines without a context builder.
         self.invariants = invariants
-        #: ``"float64"`` (golden mode, the default) or ``"float32"``
-        #: (fast math): see :func:`resolve_precision`. In float32 mode
-        #: the executor casts every stage's payload down before the
-        #: next stage, so the dtype-preserving DSP primitives run
-        #: single-precision end to end, and restores float64 at the
-        #: pipeline boundary. In float64 mode no cast of any kind
-        #: happens — the golden numerics are untouched.
-        self.precision = resolve_precision(precision)
-        self._fast_dtype = (
-            np.float32 if self.precision == "float32" else None
-        )
 
     # -- introspection ------------------------------------------------
 
@@ -444,8 +367,6 @@ class TrialPipeline:
         for stage in self.stages:
             started = time.perf_counter() if tracer is not None else 0.0
             value = stage.kernel(ctx, value, rngs)
-            if self._fast_dtype is not None:
-                value = _cast_value(value, self._fast_dtype)
             if tracer is not None:
                 tracer.record(
                     stage.name,
@@ -454,10 +375,7 @@ class TrialPipeline:
                     mode="batch",
                     trials=len(rngs),
                 )
-        rows = _per_trial_values(value, len(rngs))
-        if self._fast_dtype is not None:
-            rows = _restore_float64(rows)
-        return rows
+        return _per_trial_values(value, len(rngs))
 
 
 def _per_trial_values(value: Any, n_trials: int) -> list:
@@ -682,7 +600,6 @@ def build_pipeline(
     recognize: bool = True,
     gain_stage: Stage | None = None,
     invariants: EmissionCache | None = None,
-    precision: str | None = None,
 ) -> TrialPipeline:
     """Assemble the trial pipeline for a (scenario, device) pair.
 
@@ -716,14 +633,6 @@ def build_pipeline(
         the bed's full physical identity (sources, geometry, weather,
         rate), so sharing is always safe. ``None`` gives the pipeline
         a private bounded cache.
-    precision:
-        ``"float64"`` (the default golden mode — bitwise-frozen
-        numerics) or ``"float32"`` (the opt-in fast path: every stage
-        payload is cast down between stages so the dtype-preserving
-        DSP primitives run single-precision, and outputs return to
-        float64 at the boundary). ``None`` defers to the
-        ``REPRO_FAST_MATH`` environment variable; see
-        :func:`resolve_precision`.
     """
     if isinstance(device, Microphone):
         if recognize:
@@ -795,5 +704,4 @@ def build_pipeline(
         stages,
         context_builder=context,
         invariants=invariants,
-        precision=precision,
     )

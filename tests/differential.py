@@ -62,7 +62,7 @@ def assert_chunking_invariant(
     """Every chunk size in :data:`CHUNK_SIZES` gives the same rows.
 
     Builds the (scenario, device) pipeline with ``pipeline_options``
-    (``precision``, ``recognize``, ``gain_stage``, ...), runs
+    (``recognize``, ``gain_stage``, ...), runs
     ``n_trials`` trials of it through
     :meth:`~repro.sim.pipeline.TrialPipeline.run_trials` at each chunk
     size from identically spawned generators, and asserts the rows —

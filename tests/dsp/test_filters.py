@@ -161,25 +161,6 @@ class TestSosFiltfiltArray:
             want = sp_signal.sosfiltfilt(sos, x[index])
             assert np.array_equal(got[index], want)
 
-    def test_float32_matches_old_store_cast(self):
-        # scipy computes in float64 regardless of input dtype; the
-        # float32 contract is float64 math stored back into float32 —
-        # exactly what per-row sosfiltfilt-then-astype produces.
-        from scipy import signal as sp_signal
-
-        from repro.dsp.filters import sos_filtfilt_array
-
-        sos = sp_signal.butter(4, 0.25, output="sos")
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(2, 1024)).astype(np.float32)
-        got = sos_filtfilt_array(x, sos)
-        assert got.dtype == np.float32
-        for index in range(x.shape[0]):
-            want = sp_signal.sosfiltfilt(sos, x[index]).astype(
-                np.float32
-            )
-            assert np.array_equal(got[index], want)
-
     @pytest.mark.parametrize(
         "btype, kwargs",
         [

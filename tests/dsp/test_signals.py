@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from strategies import signal_batches, signals
 from repro.dsp.signals import (
     Signal,
+    SignalBatch,
     Unit,
     chirp,
     mix,
@@ -259,14 +260,6 @@ class TestSignalBatchAdopt:
         with pytest.raises(ValueError):
             batch.samples[0, 0] = 1.0
 
-    def test_preserves_float32(self):
-        from repro.dsp.signals import SignalBatch
-
-        arr = np.zeros((2, 8), dtype=np.float32)
-        batch = SignalBatch.adopt(arr, 8000.0)
-        assert batch.samples is arr
-        assert batch.samples.dtype == np.float32
-
     def test_falls_back_to_copy_for_views(self):
         from repro.dsp.signals import SignalBatch
 
@@ -299,3 +292,45 @@ class TestSignalBatchAdopt:
             SignalBatch.adopt(bad, 8000.0)
         with pytest.raises(SampleRateError):
             SignalBatch.adopt(self._fresh(), 0.0)
+
+
+
+def _filtfilt(x):
+    from scipy import signal as sp_signal
+
+    from repro.dsp.filters import sos_filtfilt_array
+
+    return sos_filtfilt_array(x, sp_signal.butter(4, 0.25, output="sos"))
+
+
+def _welch(x):
+    from repro.dsp.spectrum import welch_psd_matrix
+
+    return welch_psd_matrix(x, 8000.0, segment_length=256)[1]
+
+
+class TestFloat64Promotion:
+    """One dtype: float32 input is promoted to float64 — copied, never
+    adopted — and computes bitwise as its float64 copy would."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda x: Signal(x[0], 8000.0).samples,
+            lambda x: SignalBatch(x, 8000.0).samples,
+            lambda x: SignalBatch.adopt(x, 8000.0).samples,
+            _filtfilt,
+            _welch,
+        ],
+        ids=["Signal", "SignalBatch", "adopt", "filtfilt", "welch"],
+    )
+    def test_float32_input_promoted(self, compute):
+        narrow = (
+            np.random.default_rng(8)
+            .normal(size=(2, 1024))
+            .astype(np.float32)
+        )
+        got = compute(narrow)
+        assert got.dtype == np.float64
+        assert got is not narrow
+        assert np.array_equal(got, compute(narrow.astype(np.float64)))

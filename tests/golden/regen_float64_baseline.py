@@ -37,7 +37,7 @@ def dataset_digests(config_block: dict) -> tuple[str, str]:
         attacker_kind=config_block["attacker_kind"],
         seed=config_block["seed"],
     )
-    dataset = build_dataset(config, precision="float64")
+    dataset = build_dataset(config)
     return (
         hashlib.sha256(dataset.features.tobytes()).hexdigest(),
         hashlib.sha256(dataset.labels.tobytes()).hexdigest(),
@@ -66,7 +66,7 @@ def t2_digest(group_block: dict) -> str:
         EmissionSpec(array_split, tuple(group_block["emission"][1])),
         group_block["n_trials"],
     )
-    engine = ExperimentEngine(jobs=1, precision="float64")
+    engine = ExperimentEngine(jobs=1)
     outcomes = engine.run_trial_groups(
         [group],
         np.random.default_rng(group_block["engine_seed"]),
