@@ -3,8 +3,7 @@
 The ``repro.obs`` contract has two halves and this bench gates both:
 
 * **Bitwise inertness** — running the fleet workload under an active
-  tracer and metrics registry must produce the byte-identical digest
-  to the untraced run. Tracing reads clocks and appends spans; it
+  tracer must produce the byte-identical digest to the untraced run. Tracing reads clocks and appends spans; it
   never touches an experiment RNG stream or a sample buffer.
 * **Overhead tripwire** — the traced pass may cost at most
   ``MAX_OVERHEAD`` extra wall clock over the untraced pass on the
@@ -31,15 +30,13 @@ import sys
 import time
 
 from repro.experiments.s1_streaming import train_detector
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.metrics import activate as activate_metrics
 from repro.obs.trace import Tracer, activate
 from repro.sim.bench import write_bench_record
 from repro.sim.results import ResultTable
 from repro.stream.fleet import FleetConfig, FleetSimulator
 
-#: Maximum fractional wall-clock cost of enabling tracing + metrics
-#: on the fleet workload (the ISSUE's <3% tripwire).
+#: Maximum fractional wall-clock cost of enabling tracing on the
+#: fleet workload (a <3% tripwire).
 MAX_OVERHEAD = 0.03
 
 #: Passes per side; fastest wall clock wins (min-of-N: interference
@@ -73,10 +70,9 @@ def bench_overhead(quick: bool, seed: int, scenario: str) -> dict:
         for traced in (False, True):
             gc.collect()
             tracer = Tracer()
-            registry = MetricsRegistry()
             started = time.perf_counter()
             if traced:
-                with activate(tracer), activate_metrics(registry):
+                with activate(tracer):
                     report = FleetSimulator(detector, config).run()
             else:
                 report = FleetSimulator(detector, config).run()

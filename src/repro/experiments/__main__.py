@@ -22,11 +22,11 @@ reproduction. Rendered tables go to stdout and are byte-identical for
 every ``--jobs`` value; per-experiment timings go to stderr.
 
 ``--trace PATH`` writes a JSONL span trace of the whole run (pipeline
-stages, engine fan-out, stream-kernel cycles, shard lifecycles —
-render it with ``python -m repro.obs report PATH``) and
-``--metrics-out PATH`` writes the metrics registry (counters, gauges,
-exact latency percentiles) as JSON. Both are bitwise-inert: stdout
-stays byte-identical to an uninstrumented run.
+stages, engine fan-out, stream-kernel cycles, shard lifecycles, each
+utterance's defense decision). It is bitwise-inert: stdout stays
+byte-identical to an untraced run. Render it with
+``python -m repro.obs report PATH``; ``--json SUMMARY`` there writes
+the one machine-readable summary of the run.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ import argparse
 import inspect
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 
 from repro.errors import ExperimentError, ReproError
 from repro.experiments import ALL_EXPERIMENTS
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim.engine import ExperimentEngine
 from repro.sim.spec import get_scenario, scenario_names
@@ -126,13 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with `python -m repro.obs report PATH`); stdout tables stay "
         "byte-identical to an untraced run",
     )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write the run's metrics registry (counters, gauges, "
-        "exact latency percentiles) as JSON",
-    )
     return parser
 
 
@@ -177,6 +169,26 @@ def main(argv: list[str] | None = None) -> int:
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if args.shards < 1:
+        print(
+            f"error: shards must be >= 1, got {args.shards}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.streams is not None and args.streams < 1:
+        print(
+            f"error: streams must be >= 1, got {args.streams}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.trace is not None:
+        reason = obs_trace.unwritable_reason(args.trace)
+        if reason is not None:
+            print(
+                f"error: cannot write {args.trace}: {reason}",
+                file=sys.stderr,
+            )
+            return 2
     # One engine (one worker pool) shared by every experiment, so
     # pool start-up and per-process emission caches amortise across
     # the whole run.
@@ -185,35 +197,15 @@ def main(argv: list[str] | None = None) -> int:
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    # Observability is opt-in per artifact: a tracer and/or a metrics
-    # registry install as the ambient collectors for the whole run,
-    # and the instrumented layers (pipeline, engine, fleet, kernel,
-    # shards) feed them. Neither changes a single stdout byte — the
-    # CI observability job diffs traced vs untraced runs to prove it.
+    # Tracing is opt-in: the tracer installs as the ambient collector
+    # for the whole run, and the instrumented layers (pipeline,
+    # engine, fleet, kernel, shards) feed it. It changes no stdout
+    # byte — the CI observability job diffs traced vs untraced runs
+    # to prove it.
     tracer = obs_trace.Tracer() if args.trace is not None else None
-    registry = (
-        obs_metrics.MetricsRegistry()
-        if args.metrics_out is not None
-        else None
-    )
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(obs_trace.activate(tracer))
-        if registry is not None:
-            stack.enter_context(obs_metrics.activate(registry))
-        stack.enter_context(engine)
-        if args.shards < 1:
-            print(
-                f"error: shards must be >= 1, got {args.shards}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.streams is not None and args.streams < 1:
-            print(
-                f"error: streams must be >= 1, got {args.streams}",
-                file=sys.stderr,
-            )
-            return 2
+    with (
+        obs_trace.activate(tracer) if tracer is not None else nullcontext()
+    ), engine:
         for name in names:
             module = ALL_EXPERIMENTS[name]
             started = time.time()
@@ -267,9 +259,6 @@ def main(argv: list[str] | None = None) -> int:
             f"trace: {n_spans} spans -> {args.trace}",
             file=sys.stderr,
         )
-    if registry is not None:
-        registry.write_json(args.metrics_out)
-        print(f"metrics -> {args.metrics_out}", file=sys.stderr)
     return 0
 
 

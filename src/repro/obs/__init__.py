@@ -1,4 +1,4 @@
-"""Unified observability: spans, metrics and the run reporter.
+"""Unified observability: spans and the run reporter.
 
 Every execution layer of this repository — the declarative trial
 pipeline, the experiment engine's process fan-out, the streaming
@@ -11,14 +11,17 @@ installed:
   timestamps, per-trial/per-stream/per-shard attributes) and writes
   them as JSONL; :func:`~repro.obs.trace.current_tracer` is the
   ambient hook the instrumented layers consult.
-* :mod:`repro.obs.metrics` — a metrics registry: counters, gauges and
-  exact-quantile latency recorders (p50/p90/p99/p99.9 computed from
-  the raw samples).
 * :mod:`repro.obs.report` — the reporter behind
   ``python -m repro.obs report <trace.jsonl>``: a text
   flamegraph-style stage tree, latency percentiles and histogram,
-  per-shard and per-stream breakdowns, and a machine-readable summary
-  JSON.
+  per-shard and per-stream breakdowns. ``--json PATH`` writes the
+  run's one machine-readable summary.
+* :mod:`repro.obs.metrics` — :class:`~repro.obs.metrics.LatencyRecorder`,
+  the exact-quantile calculator (p50/p90/p99/p99.9 from the raw
+  samples) behind the report's and the S1 table's latency rows.
+
+The trace is the one telemetry channel: every count, duration and
+defense decision a run reports is a span or a span attribute in it.
 
 The contract every hook obeys, enforced by test and by CI:
 
@@ -32,14 +35,7 @@ The contract every hook obeys, enforced by test and by CI:
   gate holds with tracing on.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LatencyRecorder,
-    MetricsRegistry,
-    current_metrics,
-    metrics_active,
-)
+from repro.obs.metrics import LatencyRecorder
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -50,16 +46,11 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "LatencyRecorder",
-    "MetricsRegistry",
     "Span",
     "Tracer",
-    "current_metrics",
     "current_tracer",
     "maybe_span",
-    "metrics_active",
     "read_trace",
     "tracing_active",
 ]

@@ -5,7 +5,8 @@ Render the report for a trace written with ``--trace``::
     python -m repro.obs report trace.jsonl
 
 Add ``--json summary.json`` to also write the machine-readable
-summary that CI consumes.
+summary that CI consumes: the run's one machine-readable record of
+its counts, durations and latencies, all derived from the trace.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import json
 import sys
 
 from repro.obs.report import render_report, summarize
-from repro.obs.trace import read_trace
+from repro.obs.trace import read_trace, unwritable_reason
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect trace/metrics artifacts from a run.",
+        description="Inspect the span trace of a run; `report TRACE "
+        "--json PATH` writes its one machine-readable summary.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser(
@@ -39,9 +41,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.json is not None:
+        reason = unwritable_reason(args.json)
+        if reason is not None:
+            print(
+                f"error: cannot write {args.json}: {reason}",
+                file=sys.stderr,
+            )
+            return 2
     try:
         spans = read_trace(args.trace)
-    except (OSError, ValueError, KeyError) as error:
+    except (OSError, ValueError) as error:
         print(f"error: cannot read {args.trace}: {error}", file=sys.stderr)
         return 2
     if not spans:

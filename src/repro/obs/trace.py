@@ -41,12 +41,13 @@ draws randomness, mutates samples, or reorders work.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "Span",
@@ -56,6 +57,7 @@ __all__ = [
     "maybe_span",
     "read_trace",
     "tracing_active",
+    "unwritable_reason",
 ]
 
 
@@ -282,14 +284,45 @@ class Tracer:
 
 
 def read_trace(path: str | Path) -> list[Span]:
-    """Load a JSONL trace file back into :class:`Span` objects."""
+    """Load a JSONL trace file back into :class:`Span` objects.
+
+    A line that is not a span (bad JSON, not an object, a missing or
+    mistyped field) raises :class:`ValueError` naming the file and
+    line.
+    """
     spans = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 spans.append(Span.from_dict(json.loads(line)))
+            except (TypeError, ValueError, KeyError) as error:
+                raise ValueError(
+                    f"{path}, line {lineno}: not a span ({error!r})"
+                ) from error
     return spans
+
+
+def unwritable_reason(path: str | Path) -> str | None:
+    """Why ``path`` cannot be written as an output file, or ``None``.
+
+    The CLIs check their output paths with this before a run, so a
+    bad ``--trace`` or ``--json`` fails at once rather than after the
+    work it was meant to record.
+    """
+    target = Path(path)
+    if target.is_dir():
+        return "is a directory"
+    parent = target.parent
+    if not parent.is_dir():
+        return f"no such directory: {parent}"
+    if not os.access(parent, os.W_OK) or (
+        target.exists() and not os.access(target, os.W_OK)
+    ):
+        return "permission denied"
+    return None
 
 
 # -- the ambient hook ---------------------------------------------
@@ -338,7 +371,3 @@ def maybe_span(
     with tracer.span(name, parent_id=parent_id, **attrs) as span_id:
         yield span_id
 
-
-def span_tree_names(spans: Sequence[Span]) -> set[str]:
-    """The distinct span names in a trace (test/report convenience)."""
-    return {span.name for span in spans}

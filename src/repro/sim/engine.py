@@ -33,7 +33,6 @@ The engine is the substrate under :mod:`repro.sim.sweep`, all the
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -44,7 +43,6 @@ import numpy as np
 from repro.acoustics.channel import PlacedSource
 from repro.dsp.signals import Signal
 from repro.errors import ExperimentError
-from repro.obs.metrics import current_metrics
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -431,24 +429,13 @@ class ExperimentEngine:
                 _TrialTask(group, tuple(batch), keep_recordings)
                 for batch in batches
             )
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.counter("engine.trial_groups").inc(len(groups))
-            metrics.counter("engine.trials").inc(
-                sum(group.n_trials for group in groups)
-            )
-            metrics.counter("engine.tasks").inc(len(tasks))
         with maybe_span(
             "trial-groups",
             groups=len(groups),
             tasks=len(tasks),
             jobs=self.jobs,
         ):
-            started = time.perf_counter()
             flat = self.map(_run_trial_batch, tasks)
-            fanout_seconds = time.perf_counter() - started
-        if metrics is not None:
-            metrics.latency("engine.fanout_s").observe(fanout_seconds)
         results: list[list[TrialOutcome]] = []
         cursor = 0
         for width in widths:

@@ -73,7 +73,7 @@ from repro.defense.detector import InaudibleVoiceDetector
 from repro.dsp.signals import Signal
 from repro.errors import StreamError
 from repro.hardware.devices import horn_tweeter
-from repro.obs.metrics import LatencyRecorder, current_metrics
+from repro.obs.metrics import LatencyRecorder
 from repro.obs.trace import maybe_span
 from repro.sim.cache import stable_key
 from repro.sim.engine import (
@@ -326,31 +326,12 @@ class FleetReport:
     def latency_stats(self) -> LatencyRecorder:
         """The raw latency samples as an exact-quantile recorder —
         mean, max and p50/p90/p99/p99.9 from the per-utterance
-        samples, not a sketch. What the S1 table's latency rows and
-        ``--metrics-out`` report."""
+        samples, not a sketch. What the S1 table's latency rows
+        report."""
         recorder = LatencyRecorder("fleet.latency_s")
         for latency in self.latencies_s():
             recorder.observe(latency)
         return recorder
-
-    def record_metrics(self, registry) -> None:
-        """Publish this report into a metrics registry."""
-        registry.counter("fleet.streams").inc(len(self.streams))
-        registry.counter("fleet.utterances").inc(self.n_utterances)
-        registry.counter("fleet.vetoed").inc(self.n_vetoed)
-        registry.counter("fleet.executed").inc(self.n_executed)
-        registry.counter("fleet.rejected").inc(self.n_rejected)
-        registry.gauge("fleet.audio_seconds").set(self.audio_seconds)
-        registry.gauge("fleet.wall_seconds").set(self.wall_seconds)
-        registry.gauge("fleet.prepare_seconds").set(
-            self.prepare_seconds
-        )
-        recorder = registry.latency("fleet.latency_s")
-        for latency in self.latencies_s():
-            recorder.observe(latency)
-        shard_recorder = registry.latency("fleet.shard_wall_s")
-        for wall in self.shard_wall_seconds:
-            shard_recorder.observe(wall)
 
     @property
     def realtime_factor(self) -> float:
@@ -936,8 +917,4 @@ class FleetSimulator:
             with ExperimentEngine.scoped(engine, jobs) as eng:
                 for result in eng.map(run_shard, tasks):
                     accumulator.add(result)
-            report = accumulator.report(config)
-        registry = current_metrics()
-        if registry is not None:
-            report.record_metrics(registry)
-        return report
+            return accumulator.report(config)

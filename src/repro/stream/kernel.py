@@ -418,9 +418,11 @@ class StreamGroup:
         tracer = self._tracer
         if tracer is not None:
             # Utterance spans are decision *markers*: zero wall width
-            # at the decide instant, with the stream-time latency (and
-            # the stream that produced them) in the attributes — that
-            # is what the reporter's percentile section reads.
+            # at the decide instant, with the stream-time latency, the
+            # stream that produced them and the decision in the
+            # attributes — the reporter's percentile section reads the
+            # latency, and accepted/vetoed give the reject, veto and
+            # execute counts (executed = accepted and not vetoed).
             decided_at = time.perf_counter()
             for c, outcome in zip(closes, decided):
                 tracer.record(
@@ -432,6 +434,7 @@ class StreamGroup:
                     latency_s=(int(self.lengths[c.row]) - c.end)
                     / self.rate,
                     accepted=bool(outcome.recognition.accepted),
+                    vetoed=bool(outcome.vetoed),
                     forced=c.forced,
                 )
         return outcomes

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, exact-quantile recorders.
+"""The exact-quantile latency recorder.
 
 The exact-quantile contract is checked by property: whatever samples
 a :class:`~repro.obs.metrics.LatencyRecorder` sees, its quantiles are
@@ -7,22 +7,12 @@ a :class:`~repro.obs.metrics.LatencyRecorder` sees, its quantiles are
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LatencyRecorder,
-    MetricsRegistry,
-    activate,
-    current_metrics,
-    metrics_active,
-)
+from repro.obs.metrics import LatencyRecorder
 
 samples_lists = st.lists(
     st.floats(
@@ -52,7 +42,8 @@ class TestExactQuantiles:
     @settings(max_examples=50, deadline=None)
     def test_summary_carries_the_standard_percentiles(self, samples):
         recorder = LatencyRecorder("t")
-        recorder.observe_many(samples)
+        for value in samples:
+            recorder.observe(value)
         summary = recorder.summary()
         assert set(summary) == {
             "count", "mean", "max", "p50", "p90", "p99", "p99.9",
@@ -72,62 +63,3 @@ class TestExactQuantiles:
             with pytest.raises(ValueError):
                 access()
 
-
-class TestCountersAndGauges:
-    def test_counter_accumulates_and_never_decreases(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_is_last_write_wins(self):
-        gauge = Gauge("g")
-        assert gauge.value is None
-        gauge.set(3)
-        gauge.set(7.5)
-        assert gauge.value == 7.5
-
-
-class TestRegistry:
-    def test_get_or_create_returns_the_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.latency("b") is registry.latency("b")
-
-    def test_kind_mismatch_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-
-    def test_as_dict_and_json_roundtrip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("runs").inc(2)
-        registry.gauge("load").set(0.5)
-        registry.latency("lat").observe_many([1.0, 2.0, 3.0])
-        path = tmp_path / "metrics.json"
-        registry.write_json(path)
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
-        metrics = payload["metrics"]
-        assert metrics["runs"] == {"type": "counter", "value": 2}
-        assert metrics["load"] == {"type": "gauge", "value": 0.5}
-        assert metrics["lat"]["p50"] == 2.0
-
-    def test_empty_latency_serializes_without_stats(self):
-        registry = MetricsRegistry()
-        registry.latency("lat")
-        assert registry.as_dict()["lat"]["count"] == 0
-
-
-class TestAmbientHook:
-    def test_inactive_by_default_and_scoped_by_activate(self):
-        assert current_metrics() is None
-        assert not metrics_active()
-        registry = MetricsRegistry()
-        with activate(registry):
-            assert current_metrics() is registry
-            assert metrics_active()
-        assert current_metrics() is None

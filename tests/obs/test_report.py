@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import (
     render_report,
     render_stage_tree,
     summarize,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, read_trace
 
 
 def synthetic_trace() -> Tracer:
@@ -109,3 +111,43 @@ class TestCli:
         code = obs_main(["report", str(path)])
         assert code == 2
         assert "no spans" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '{"span_id": 1, "parent_id": null, "name": "a", '
+            '"start_s": 0, "end_s": 1, "attrs": 5}',
+            '{"span_id": null, "parent_id": null, "name": "a", '
+            '"start_s": 0, "end_s": 1}',
+        ],
+    )
+    def test_wrongly_shaped_span_is_a_clean_error(
+        self, tmp_path, capsys, line
+    ):
+        """Well-formed JSON that is not a span: read_trace names the
+        file and line, and the CLI exits 2 with one error line."""
+        path = tmp_path / "bad.jsonl"
+        good = '{"span_id": 1, "name": "ok", "start_s": 0, "end_s": 1}'
+        path.write_text(f"{good}\n{line}\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl, line 2"):
+            read_trace(path)
+        assert obs_main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_json_path_fails_before_rendering(
+        self, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "trace.jsonl"
+        synthetic_trace().write_jsonl(trace_path)
+        json_path = tmp_path / "missing" / "s.json"
+        code = obs_main(["report", str(trace_path), "--json", str(json_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {json_path}: no such directory: "
+            f"{json_path.parent}\n"
+        )

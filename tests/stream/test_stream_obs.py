@@ -2,9 +2,10 @@
 
 Three contracts from the ``repro.obs`` integration:
 
-* **bitwise inertness** — running a fleet under an active tracer and
-  metrics registry produces the identical digest to an untraced run,
-  in wide groups and in groups of one;
+* **bitwise inertness** — running a fleet under an active tracer
+  produces the identical digest to an untraced run, in wide groups
+  and in groups of one, and the trace's decision markers agree with
+  the report's reject/veto/execute counts;
 * **completeness** — the trace carries every stream-kernel stage and
   one utterance marker per segmented utterance;
 * **shard-boundary attribution** — the shards cross the one process
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.metrics import activate as activate_metrics
 from repro.obs.trace import Tracer, activate
 from repro.sim.engine import ExperimentEngine, _traced_call
 from repro.sim.pipeline import StageProfile
@@ -69,13 +68,24 @@ class TestBitwiseInertness:
         self, stream_detector, untraced_digest, vectorized
     ):
         tracer = Tracer()
-        registry = MetricsRegistry()
         config = small_config(vectorized=vectorized)
-        with activate(tracer), activate_metrics(registry):
+        with activate(tracer):
             report = FleetSimulator(stream_detector, config).run()
         assert report.digest() == untraced_digest
-        assert tracer.spans, "tracing was active but recorded nothing"
-        assert registry.counter("fleet.utterances").value == 4
+        # The trace alone yields the report's decision counts: each
+        # utterance marker carries accepted/vetoed, and executed is
+        # accepted and not vetoed.
+        markers = [
+            span.attrs
+            for span in tracer.spans
+            if span.name == "utterance"
+        ]
+        assert len(markers) == report.n_utterances == 4
+        assert (
+            sum(not m["accepted"] for m in markers),
+            sum(m["vetoed"] for m in markers),
+            sum(m["accepted"] and not m["vetoed"] for m in markers),
+        ) == (report.n_rejected, report.n_vetoed, report.n_executed)
 
     def test_sharded_run_matches_untraced_unsharded(
         self, stream_detector, untraced_digest

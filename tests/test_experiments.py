@@ -7,8 +7,6 @@ properties the paper reports — these are the assertions that make the
 reproduction claims executable.
 """
 
-import json
-
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
@@ -269,21 +267,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "scenario: living_room" in out
 
-    def test_trace_and_metrics_flags(self, tmp_path, capsys):
-        """--trace/--metrics-out write artifacts and leave stdout
-        byte-identical to the uninstrumented run (zero digest
-        drift, checked here on the cheapest engine-backed
-        experiment and by CI's observability job on S1)."""
+    def test_trace_flag(self, tmp_path, capsys):
+        """--trace writes the span trace and leaves stdout
+        byte-identical to the untraced run (zero digest drift,
+        checked here on the cheapest engine-backed experiment and by
+        CI's observability job on S1)."""
         from repro.obs.trace import read_trace
 
         assert main(["F3", "--jobs", "1"]) == 0
         untraced = capsys.readouterr().out
         trace_path = tmp_path / "trace.jsonl"
-        metrics_path = tmp_path / "metrics.json"
         assert main([
-            "F3", "--jobs", "1",
-            "--trace", str(trace_path),
-            "--metrics-out", str(metrics_path),
+            "F3", "--jobs", "1", "--trace", str(trace_path),
         ]) == 0
         captured = capsys.readouterr()
         assert captured.out == untraced
@@ -291,26 +286,28 @@ class TestCli:
         spans = read_trace(trace_path)
         experiment = [s for s in spans if s.name == "experiment"]
         assert experiment[0].attrs["experiment"] == "F3"
-        # Engine fan-out appears in both collectors: trial-batch
-        # spans adopted under the experiment, and engine counters.
+        # Engine fan-out is in the trace: trial-batch spans adopted
+        # under the experiment.
         assert any(s.name == "trial-batch" for s in spans)
-        payload = json.loads(metrics_path.read_text())
-        assert payload["metrics"]["engine.trials"]["value"] > 0
 
-    def test_metrics_without_trace_record_the_fanout(
+    def test_unwritable_trace_path_fails_before_any_work(
         self, tmp_path, capsys
     ):
-        """The engine's fan-out latency is a metric, not a by-product
-        of tracing: ``--metrics-out`` alone records it."""
-        metrics_path = tmp_path / "metrics.json"
-        assert main([
-            "F3", "--jobs", "1", "--metrics-out", str(metrics_path),
-        ]) == 0
-        capsys.readouterr()
-        metrics = json.loads(metrics_path.read_text())["metrics"]
-        fanout = metrics["engine.fanout_s"]
-        assert fanout["type"] == "latency"
-        assert fanout["count"] > 0
+        trace_path = tmp_path / "missing" / "t.jsonl"
+        assert main(["F1", "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_removed_metrics_flag_is_a_usage_error(self, tmp_path, capsys):
+        """The metrics registry and its output flag are gone: the
+        trace is the one telemetry channel."""
+        flag = "--metrics" + "-out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["F1", flag, str(tmp_path / "m.json")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_list_scenarios_flag(self, capsys):
         from repro.sim.spec import scenario_names
