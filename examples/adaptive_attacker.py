@@ -21,7 +21,7 @@ from repro import (
 )
 from repro.attack import AttackPipelineConfig
 from repro.defense import InaudibleVoiceDetector
-from repro.sim import Scenario, ScenarioRunner, VictimDevice
+from repro.sim import Scenario, VictimDevice, build_pipeline
 
 rng = np.random.default_rng(11)
 ORIGIN = Position(0.0, 2.0, 1.0)
@@ -44,7 +44,7 @@ scenario = Scenario(
     attacker_position=ORIGIN,
     victim_position=Position(2.0, 2.0, 1.0),
 )
-runner = ScenarioRunner(scenario, device)
+pipeline = build_pipeline(scenario, device)
 voice = synthesize_command("ok_google", rng)
 
 print("mod depth   attack success   detected   mean detector score")
@@ -53,7 +53,10 @@ for depth in (1.0, 0.5, 0.25, 0.15):
         horn_tweeter(), ORIGIN, AttackPipelineConfig(modulation_depth=depth)
     )
     emission = attacker.emit(voice, drive_level=1.0)
-    outcomes = runner.run_trials(list(emission.sources), 5, rng)
+    # Five trials of the same emission, each with fresh noise.
+    outcomes = pipeline.run_trials(
+        pipeline.context(emission.sources), rng.spawn(5)
+    )
     success = sum(o.success for o in outcomes) / len(outcomes)
     verdicts = [detector.classify(o.recording) for o in outcomes]
     detected = sum(v.is_attack for v in verdicts) / len(verdicts)

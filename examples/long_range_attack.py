@@ -11,7 +11,6 @@ Run: ``python examples/long_range_attack.py``   (takes ~1 minute)
 import numpy as np
 
 from repro import (
-    AcousticChannel,
     LongRangeAttacker,
     Position,
     SingleSpeakerAttacker,
@@ -21,7 +20,7 @@ from repro import (
     ultrasonic_piezo_element,
 )
 from repro.psychoacoustics import evaluate_audibility
-from repro.sim import Scenario, ScenarioRunner, VictimDevice
+from repro.sim import Scenario, VictimDevice, build_pipeline
 
 rng = np.random.default_rng(7)
 COMMAND = "ok_google"
@@ -59,8 +58,10 @@ for n_elements in (8, 24, 61):
         f"audibility margin {worst_margin:+.1f} dB (negative = silent):"
     )
     for distance in (2.0, 4.0, 6.0, 8.0):
-        runner = ScenarioRunner(scenario.at_distance(distance), device)
-        outcomes = runner.run_trials(list(emission.sources), 3, rng)
+        pipeline = build_pipeline(scenario.at_distance(distance), device)
+        outcomes = pipeline.run_trials(
+            pipeline.context(emission.sources), rng.spawn(3)
+        )
         successes = sum(o.success for o in outcomes)
         print(f"  {distance:4.1f} m: {successes}/3 injections recognised")
 

@@ -24,7 +24,7 @@ Quickstart::
     # `recording` now contains the demodulated, audible voice command —
     # although nothing audible was ever played.
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
+See README.md for the architecture and EXPERIMENTS.md for the
 reproduced evaluation.
 """
 
@@ -78,7 +78,7 @@ from repro.defense import (
     InaudibleVoiceDetector,
     build_dataset,
 )
-from repro.sim import Scenario, ScenarioRunner, VictimDevice
+from repro.sim import Scenario, VictimDevice
 
 __version__ = "1.0.0"
 
@@ -132,6 +132,5 @@ __all__ = [
     "build_dataset",
     # sim
     "Scenario",
-    "ScenarioRunner",
     "VictimDevice",
 ]

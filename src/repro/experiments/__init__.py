@@ -1,15 +1,17 @@
 """Reproduction experiments, one module per paper artefact.
 
-Every module exposes ``run(quick=..., seed=..., jobs=..., engine=...)
--> ResultTable``. ``quick=True`` shrinks trial counts and sweep grids
-so the full suite finishes in minutes; ``jobs``/``engine`` fan trials
-out over a :class:`repro.sim.engine.ExperimentEngine` worker pool
-(results are identical for every ``jobs`` value; a supplied ``engine``
-takes precedence and ``jobs`` is then ignored). The benchmark
-harness in ``benchmarks/`` wraps these functions, and EXPERIMENTS.md
-records their output against the paper's reported numbers.
+Every module exposes ``run(quick=..., seed=..., engine=...,
+scenario=...) -> ResultTable``. ``quick=True`` shrinks trial counts
+and sweep grids so the full suite finishes in minutes. ``engine`` is
+the one parallelism handle: trials fan out over that
+:class:`repro.sim.engine.ExperimentEngine`'s worker pool, and
+``engine=None`` means a serial ``ExperimentEngine(jobs=1)``, which
+starts no pool. Results are identical for every ``jobs`` value. The
+benchmark harness in ``benchmarks/`` wraps these functions, and
+EXPERIMENTS.md records their output against the paper's reported
+numbers.
 
-Experiment IDs (see DESIGN.md section 3):
+Experiment IDs (see EXPERIMENTS.md):
 
 ====  =====================================================
 F1    Microphone nonlinearity demodulation demo

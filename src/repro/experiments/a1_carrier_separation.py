@@ -50,7 +50,6 @@ def run(
     quick: bool = True,
     seed: int = 0,
     command: str = "ok_google",
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -70,10 +69,11 @@ def run(
             "mixed max inaudible drive",
         ],
     )
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        rows = eng.map(
-            _carrier_row, [(count, voice) for count in counts]
-        )
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    rows = engine.map(
+        _carrier_row, [(count, voice) for count in counts]
+    )
     for row in rows:
         table.add_row(*row)
     return table

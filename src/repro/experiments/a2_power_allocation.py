@@ -26,7 +26,6 @@ def run(
     quick: bool = True,
     seed: int = 0,
     command: str = "ok_google",
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -46,29 +45,30 @@ def run(
         ),
         columns=["speakers", "strategy", "range m", "mean chunk level"],
     )
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        for n_speakers in counts:
-            for strategy in ("uniform", "waterfill"):
-                emission_spec = EmissionSpec(
-                    array_split, (command, seed, n_speakers, strategy)
-                )
-                measured = eng.attack_range_m(
-                    built,
-                    device,
-                    emission_spec,
-                    rng,
-                    n_trials=n_trials,
-                    max_distance_m=max_distance,
-                    resolution_m=resolution,
-                )
-                table.add_row(
-                    n_speakers,
-                    strategy,
-                    measured,
-                    float(
-                        np.mean(
-                            emission_spec.emission().allocation.chunk_levels
-                        )
-                    ),
-                )
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    for n_speakers in counts:
+        for strategy in ("uniform", "waterfill"):
+            emission_spec = EmissionSpec(
+                array_split, (command, seed, n_speakers, strategy)
+            )
+            measured = engine.attack_range_m(
+                built,
+                device,
+                emission_spec,
+                rng,
+                n_trials=n_trials,
+                max_distance_m=max_distance,
+                resolution_m=resolution,
+            )
+            table.add_row(
+                n_speakers,
+                strategy,
+                measured,
+                float(
+                    np.mean(
+                        emission_spec.emission().allocation.chunk_levels
+                    )
+                ),
+            )
     return table

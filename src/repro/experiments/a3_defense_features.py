@@ -53,7 +53,6 @@ def _subset_row(
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -79,7 +78,8 @@ def run(
         (label, subset, dataset.select(subset), seed + 3)
         for label, subset in SUBSETS.items()
     ]
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        for row in eng.map(_subset_row, tasks):
-            table.add_row(*row)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    for row in engine.map(_subset_row, tasks):
+        table.add_row(*row)
     return table

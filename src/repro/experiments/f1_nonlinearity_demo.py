@@ -56,7 +56,6 @@ def run(
     seed: int = 0,
     command: str = "ok_google",
     distance_m: float = 2.0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -100,7 +99,8 @@ def run(
         ("attack ultrasound", emission.drive),
         ("mic recording", recording),
     ]
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        for row in eng.map(_band_row, tasks):
-            table.add_row(*row)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    for row in engine.map(_band_row, tasks):
+        table.add_row(*row)
     return table

@@ -52,7 +52,6 @@ def run(
     seed: int = 0,
     command: str = "ok_google",
     bystander_distance_m: float = 0.5,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -81,7 +80,8 @@ def run(
     tasks = [
         (drive, fraction, bystander_distance_m) for fraction in fractions
     ]
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        for row in eng.map(_leakage_row, tasks):
-            table.add_row(*row)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    for row in engine.map(_leakage_row, tasks):
+        table.add_row(*row)
     return table

@@ -30,7 +30,6 @@ def run(
     quick: bool = True,
     seed: int = 0,
     command: str = "ok_google",
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -52,8 +51,9 @@ def run(
         moved = base.at_distance(distance)
         groups.append(TrialGroup(moved, device, full_spec, n_trials))
         groups.append(TrialGroup(moved, device, capped_spec, n_trials))
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        rates = eng.success_rates(groups, rng)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    rates = engine.success_rates(groups, rng)
     table = ResultTable(
         title=(
             "F3: single-speaker success rate vs distance "

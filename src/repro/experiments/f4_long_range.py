@@ -36,7 +36,6 @@ def run(
     quick: bool = True,
     seed: int = 0,
     command: str = "ok_google",
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -57,26 +56,27 @@ def run(
         ),
         columns=["speakers", "rig", "range m"],
     )
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        range_single = eng.attack_range_m(
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    range_single = engine.attack_range_m(
+        built,
+        device,
+        EmissionSpec(single_inaudible, (command, seed)),
+        rng,
+        n_trials=n_trials,
+        max_distance_m=max_distance,
+        resolution_m=resolution,
+    )
+    table.add_row(1, "single wideband (capped)", range_single)
+    for n_speakers in speaker_counts:
+        measured = engine.attack_range_m(
             built,
             device,
-            EmissionSpec(single_inaudible, (command, seed)),
+            EmissionSpec(array_split, (command, seed, n_speakers)),
             rng,
             n_trials=n_trials,
             max_distance_m=max_distance,
             resolution_m=resolution,
         )
-        table.add_row(1, "single wideband (capped)", range_single)
-        for n_speakers in speaker_counts:
-            measured = eng.attack_range_m(
-                built,
-                device,
-                EmissionSpec(array_split, (command, seed, n_speakers)),
-                rng,
-                n_trials=n_trials,
-                max_distance_m=max_distance,
-                resolution_m=resolution,
-            )
-            table.add_row(n_speakers, "split array", measured)
+        table.add_row(n_speakers, "split array", measured)
     return table

@@ -48,7 +48,6 @@ def run(
     quick: bool = True,
     seed: int = 0,
     command: str = "ok_google",
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -68,10 +67,11 @@ def run(
             "audible chunks",
         ],
     )
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        rows = eng.map(
-            _split_row, [(count, voice) for count in counts]
-        )
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    rows = engine.map(
+        _split_row, [(count, voice) for count in counts]
+    )
     for row in rows:
         table.add_row(*row)
     return table

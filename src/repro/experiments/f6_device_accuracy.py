@@ -26,7 +26,6 @@ from repro.sim.spec import get_scenario
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -69,8 +68,9 @@ def run(
                 )
             )
             rows.append((device.name, command, distance))
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        rates = eng.success_rates(groups, rng)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    rates = engine.success_rates(groups, rng)
     for row, rate in zip(rows, rates):
         table.add_row(*row, rate)
     return table

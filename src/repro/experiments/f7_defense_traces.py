@@ -51,7 +51,6 @@ def _feature_rows(
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -79,8 +78,9 @@ def run(
         )
         for kind in ("single_full", "long_range")
     ]
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        for rows in eng.map(_feature_rows, configs):
-            for row in rows:
-                table.add_row(*row)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    for rows in engine.map(_feature_rows, configs):
+        for row in rows:
+            table.add_row(*row)
     return table

@@ -47,7 +47,6 @@ def _roc_row(
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -76,8 +75,9 @@ def run(
         )
         for kind in ("single_full", "long_range")
     ]
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        tasks = [(config, seed + 7) for config in configs]
-        for row in eng.map(_roc_row, tasks):
-            table.add_row(*row)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    tasks = [(config, seed + 7) for config in configs]
+    for row in engine.map(_roc_row, tasks):
+        table.add_row(*row)
     return table

@@ -39,7 +39,6 @@ def run(
     seed: int = 0,
     command: str = "ok_google",
     distance_m: float = 2.0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -75,11 +74,10 @@ def run(
         )
         for depth in depths
     ]
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        detector = InaudibleVoiceDetector().fit(
-            build_dataset(train_config)
-        )
-        per_depth = eng.run_trial_groups(groups, rng)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    detector = InaudibleVoiceDetector().fit(build_dataset(train_config))
+    per_depth = engine.run_trial_groups(groups, rng)
     table = ResultTable(
         title=(
             "F9: adaptive attacker (modulation depth sweep) at "

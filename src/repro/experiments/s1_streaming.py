@@ -154,7 +154,6 @@ def _describe(outcome: GuardedOutcome) -> tuple[str, object]:
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
     shards: int = 1,
@@ -163,8 +162,8 @@ def run(
     """Parity, dispositions and stream-time latency of the online guard.
 
     ``shards`` splits the fleet into that many shards, which run on
-    ``engine`` (else on a ``jobs``-process engine), so ``jobs=1`` runs
-    every shard inline; the fleet runs
+    ``engine``; a serial engine (the default) runs every shard
+    inline. The fleet runs
     :class:`~repro.stream.fleet.FleetConfig`'s default kernel.
     ``streams`` overrides the fleet size. The rendered table —
     dispositions, latencies and the fleet digest row — is
@@ -214,9 +213,10 @@ def run(
         seed=seed + 2,
         shards=shards,
     )
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        report = FleetSimulator(detector, fleet_config).run(eng)
-        cores = min(shards, eng.jobs, os.cpu_count() or 1)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    report = FleetSimulator(detector, fleet_config).run(engine)
+    cores = min(shards, engine.jobs, os.cpu_count() or 1)
     walls = report.shard_wall_seconds
     balance = min(walls) / max(walls) if max(walls) > 0 else 1.0
     print(

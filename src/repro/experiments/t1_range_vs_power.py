@@ -32,7 +32,6 @@ PAPER_POWERS_W = (9.2, 11.8, 14.8, 18.7, 23.7)
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -55,20 +54,21 @@ def run(
         (VictimDevice.echo(seed=seed + 1), "alexa"),
     )
     ranges: dict[str, list[float]] = {"phone": [], "echo": []}
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        for device, command in configs:
-            built = spec.build(command, distance_m=1.0)
-            for power in powers:
-                measured = eng.attack_range_m(
-                    built,
-                    device,
-                    EmissionSpec(single_at_power, (command, seed, power)),
-                    rng,
-                    n_trials=n_trials,
-                    max_distance_m=max_distance,
-                    resolution_m=resolution,
-                )
-                ranges[device.name].append(measured)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    for device, command in configs:
+        built = spec.build(command, distance_m=1.0)
+        for power in powers:
+            measured = engine.attack_range_m(
+                built,
+                device,
+                EmissionSpec(single_at_power, (command, seed, power)),
+                rng,
+                n_trials=n_trials,
+                max_distance_m=max_distance,
+                resolution_m=resolution,
+            )
+            ranges[device.name].append(measured)
     for index, power in enumerate(powers):
         table.add_row(
             power, ranges["phone"][index], ranges["echo"][index]

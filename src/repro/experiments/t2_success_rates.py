@@ -6,9 +6,9 @@ Reference points: ~100 % against a phone at 3 m and ~80 % against an
 Echo at 2 m for a strong rig.
 
 All four (device, rig) cells are submitted to the engine as one wave
-of trial groups, so with ``jobs >= 4`` each cell occupies its own
-worker — emission synthesis and the 50-trial repetition run
-concurrently across cells.
+of trial groups, so on an engine with ``jobs >= 4`` each cell
+occupies its own worker — emission synthesis and the 50-trial
+repetition run concurrently across cells.
 
 ``scenario`` selects the environment from the registry
 (``repro.sim.spec``): the same four cells replay inside a reverberant
@@ -30,7 +30,6 @@ from repro.sim.spec import get_scenario
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -67,8 +66,9 @@ def run(
                 TrialGroup(cell_scenario, device, emission_spec, n_trials)
             )
             rows.append((device.name, command, distance, rig))
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        rates = eng.success_rates(groups, rng)
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    rates = engine.success_rates(groups, rng)
     for row, rate in zip(rows, rates):
         table.add_row(*row, rate)
     return table

@@ -47,7 +47,6 @@ def _split_row(
 def run(
     quick: bool = True,
     seed: int = 0,
-    jobs: int = 1,
     engine: ExperimentEngine | None = None,
     scenario: str = "free_field",
 ) -> ResultTable:
@@ -70,29 +69,30 @@ def run(
         ),
         columns=["split", "model", "accuracy", "TPR", "FPR", "n test"],
     )
-    with ExperimentEngine.scoped(engine, jobs) as eng:
-        dataset = build_dataset(config)
-        train, test = dataset.split(0.6, rng)
-        held_command = "add_milk"
-        train_cmd = dataset.filter(
-            lambda meta: meta["command"] != held_command
-        )
-        test_cmd = dataset.filter(
-            lambda meta: meta["command"] == held_command
-        )
-        train_near = dataset.filter(lambda meta: meta["distance_m"] < 3.0)
-        test_far = dataset.filter(lambda meta: meta["distance_m"] >= 3.0)
-        tasks = [
-            ("random", "logistic", train, test),
-            ("random", "svm", train, test),
-            (
-                f"held-out command ({held_command})",
-                "logistic",
-                train_cmd,
-                test_cmd,
-            ),
-            ("held-out distance (3 m)", "logistic", train_near, test_far),
-        ]
-        for row in eng.map(_split_row, tasks):
-            table.add_row(*row)
+    dataset = build_dataset(config)
+    train, test = dataset.split(0.6, rng)
+    held_command = "add_milk"
+    train_cmd = dataset.filter(
+        lambda meta: meta["command"] != held_command
+    )
+    test_cmd = dataset.filter(
+        lambda meta: meta["command"] == held_command
+    )
+    train_near = dataset.filter(lambda meta: meta["distance_m"] < 3.0)
+    test_far = dataset.filter(lambda meta: meta["distance_m"] >= 3.0)
+    tasks = [
+        ("random", "logistic", train, test),
+        ("random", "svm", train, test),
+        (
+            f"held-out command ({held_command})",
+            "logistic",
+            train_cmd,
+            test_cmd,
+        ),
+        ("held-out distance (3 m)", "logistic", train_near, test_far),
+    ]
+    if engine is None:
+        engine = ExperimentEngine(jobs=1)
+    for row in engine.map(_split_row, tasks):
+        table.add_row(*row)
     return table

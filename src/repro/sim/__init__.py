@@ -15,16 +15,12 @@
     ambient -> microphone -> adc -> recognize), each one kernel over a
     stacked trial chunk, walked by one executor whose outputs do not
     depend on the chunk size.
-``runner``
-    Executes a scenario trial by trial — each trial a chunk of one
-    through the shared pipeline — returning per-trial outcomes.
 ``engine``
-    Parallel cached execution: fans trial groups over a process pool
-    with ``SeedSequence``-spawned per-trial streams (bit-identical for
-    any ``jobs``) and a per-process emission/synthesis cache.
-``sweep``
-    The environment sweep (one attack across registered scenarios);
-    distance and range sweeps are :class:`ExperimentEngine` methods.
+    The one way to run trials: :class:`ExperimentEngine` fans trial
+    groups over a process pool with ``SeedSequence``-spawned per-trial
+    streams (bit-identical for any ``jobs``) and a per-process
+    emission/synthesis cache; range searches are its
+    :meth:`~ExperimentEngine.attack_range_m`.
 ``results``
     Small result-table containers with aligned-text rendering used by
     the benchmarks and EXPERIMENTS.md.
@@ -63,10 +59,10 @@ from repro.sim.spec import (
 from repro.sim.pipeline import (
     Stage,
     TrialContext,
+    TrialOutcome,
     TrialPipeline,
     build_pipeline,
 )
-from repro.sim.runner import ScenarioRunner, TrialOutcome
 from repro.sim.engine import (
     EmissionCache,
     EmissionSpec,
@@ -77,7 +73,6 @@ from repro.sim.engine import (
     process_cache,
     stable_key,
 )
-from repro.sim.sweep import success_rate_by_scenario
 from repro.sim.results import ResultTable
 from repro.sim.bench import append_trajectory, machine_metadata
 
@@ -94,7 +89,6 @@ __all__ = [
     "TrajectorySpec",
     "VictimDevice",
     "WeatherSpec",
-    "ScenarioRunner",
     "Stage",
     "TrialContext",
     "TrialOutcome",
@@ -118,6 +112,5 @@ __all__ = [
     "register_scenario",
     "scenario_names",
     "stable_key",
-    "success_rate_by_scenario",
     "ResultTable",
 ]

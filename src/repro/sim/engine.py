@@ -25,9 +25,10 @@ their noise draws. Three observations make the whole suite scale:
    per-trial noise / microphone / ADC stages execute as stacked 2-D
    operations.
 
-The engine is the substrate under :mod:`repro.sim.sweep`, all the
-``repro.experiments`` modules, the streaming fleet's shards and the
-``python -m repro.experiments`` CLI (``--jobs``).
+The engine is the one way to run trials: every ``repro.experiments``
+module takes one (``engine=None`` means a serial engine), the
+streaming fleet's shards cross its :meth:`~ExperimentEngine.map`, and
+the ``python -m repro.experiments`` CLI sizes it with ``--jobs``.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class EmissionSpec:
     """A picklable recipe for an attacker emission.
 
     ``builder`` must be a module-level callable (pickled by reference)
-    and ``args`` must be cheaply picklable; the multi-megabyte
+    returning an emission with a ``sources`` sequence, and ``args``
+    must be cheaply picklable; the multi-megabyte
     waveforms it produces stay inside whichever process materialises
     them. The build result is cached under a key derived from the
     builder's qualified name and arguments — a stable hash of command
@@ -125,31 +127,21 @@ class EmissionSpec:
 
     def sources(self) -> tuple[PlacedSource, ...]:
         """The emission's placed sources, materialising on demand."""
-        emission = self.emission()
-        if isinstance(emission, (tuple, list)):
-            return tuple(emission)
-        return tuple(emission.sources)
+        return tuple(self.emission().sources)
 
 
 @dataclass(frozen=True)
 class TrialGroup:
     """One (scenario, device, emission, n_trials) work unit.
 
-    ``emission`` is either an :class:`EmissionSpec` (preferred: tiny
-    pickles, per-process caching) or a concrete sequence of
-    :class:`PlacedSource` (back-compat with callers that already built
-    their waveforms).
+    ``emission`` is an :class:`EmissionSpec`, so a group pickles small
+    and each process builds the waveforms at most once.
     """
 
     scenario: Scenario
     device: VictimDevice
-    emission: EmissionSpec | Sequence[PlacedSource]
+    emission: EmissionSpec
     n_trials: int
-
-    def resolve_sources(self) -> list[PlacedSource]:
-        if isinstance(self.emission, EmissionSpec):
-            return list(self.emission.sources())
-        return list(self.emission)
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,7 @@ def _run_trial_batch(task: _TrialTask) -> list[TrialOutcome]:
     group = task.group
     with maybe_span("trial-batch", trials=len(task.rngs)):
         pipeline = build_pipeline(group.scenario, group.device)
-        ctx = pipeline.context(group.resolve_sources())
+        ctx = pipeline.context(group.emission.sources())
         outcomes = pipeline.run_trials(ctx, task.rngs)
         if not task.keep_recordings:
             outcomes = [
@@ -339,22 +331,6 @@ class ExperimentEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @classmethod
-    def scoped(
-        cls, engine: "ExperimentEngine | None", jobs: int | None
-    ) -> "_ScopedEngine":
-        """Context manager yielding ``engine`` or a fresh one.
-
-        Experiments use this so a caller-supplied engine (the CLI's
-        shared pool) is borrowed, while a locally created one is closed
-        on exit. **Precedence:** a non-``None`` ``engine`` always wins
-        and ``jobs`` is ignored — ``jobs`` only configures the engine
-        created when none is supplied. (The CLI relies on this: it
-        passes its shared pool while every experiment's ``jobs``
-        parameter sits at its default.)
-        """
-        return _ScopedEngine(engine, jobs)
-
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -446,30 +422,6 @@ class ExperimentEngine:
             results.append(outcomes)
         return results
 
-    def run_trials(
-        self,
-        scenario: Scenario,
-        device: VictimDevice,
-        emission: EmissionSpec | Sequence[PlacedSource],
-        n_trials: int,
-        rng: np.random.Generator,
-    ) -> list[TrialOutcome]:
-        """Trials of a single group (see :meth:`run_trial_groups`)."""
-        group = TrialGroup(scenario, device, emission, n_trials)
-        return self.run_trial_groups([group], rng)[0]
-
-    def success_rate(
-        self,
-        scenario: Scenario,
-        device: VictimDevice,
-        emission: EmissionSpec | Sequence[PlacedSource],
-        n_trials: int,
-        rng: np.random.Generator,
-    ) -> float:
-        """Fraction of successful trials for one group."""
-        group = TrialGroup(scenario, device, emission, n_trials)
-        return self.success_rates([group], rng)[0]
-
     def success_rates(
         self,
         groups: Sequence[TrialGroup],
@@ -486,37 +438,13 @@ class ExperimentEngine:
             )
         ]
 
-    # -- sweeps -------------------------------------------------------
-
-    def accuracy_over_distances(
-        self,
-        scenario: Scenario,
-        device: VictimDevice,
-        emission: EmissionSpec | Sequence[PlacedSource],
-        distances_m: Sequence[float],
-        n_trials: int,
-        rng: np.random.Generator,
-    ) -> list[tuple[float, float]]:
-        """Success rate at each distance, one emission shared by all.
-
-        Returns ``[(distance, success_rate), ...]`` in input order.
-        """
-        if not distances_m:
-            raise ExperimentError("distances_m must not be empty")
-        groups = [
-            TrialGroup(
-                scenario.at_distance(distance), device, emission, n_trials
-            )
-            for distance in distances_m
-        ]
-        rates = self.success_rates(groups, rng)
-        return list(zip(distances_m, rates))
+    # -- range search -------------------------------------------------
 
     def attack_range_m(
         self,
         scenario: Scenario,
         device: VictimDevice,
-        emission: EmissionSpec | Sequence[PlacedSource],
+        emission: EmissionSpec,
         rng: np.random.Generator,
         n_trials: int = 3,
         success_threshold: float = 0.5,
@@ -536,32 +464,10 @@ class ExperimentEngine:
             )
 
         def works(distance: float) -> bool:
-            moved = scenario.at_distance(distance)
-            rate = self.success_rate(
-                moved, device, emission, n_trials, rng
+            group = TrialGroup(
+                scenario.at_distance(distance), device, emission, n_trials
             )
+            (rate,) = self.success_rates([group], rng)
             return rate >= success_threshold
 
         return attack_range_search(works, max_distance_m, resolution_m)
-
-
-class _ScopedEngine:
-    """Borrow a caller's engine or own a temporary one."""
-
-    def __init__(
-        self, engine: ExperimentEngine | None, jobs: int | None
-    ) -> None:
-        self._borrowed = engine
-        self._jobs = jobs
-        self._owned: ExperimentEngine | None = None
-
-    def __enter__(self) -> ExperimentEngine:
-        if self._borrowed is not None:
-            return self._borrowed
-        self._owned = ExperimentEngine(jobs=self._jobs)
-        return self._owned
-
-    def __exit__(self, *exc_info) -> None:
-        if self._owned is not None:
-            self._owned.close()
-            self._owned = None

@@ -10,8 +10,8 @@ where each stage carries one kernel over a trial chunk: the stacked
 ``(n_trials, n_samples)`` value plus one generator per row. A single
 trial is a chunk of one, so there is no second, per-trial statement
 of the chain to keep in sync; :meth:`TrialPipeline.run_trials` is the
-only executor, and :class:`~repro.sim.runner.ScenarioRunner` calls it
-with one generator at a time. The executor's chunks are sized by a
+only executor, and :class:`~repro.sim.engine.ExperimentEngine` drives
+it for every trial group. The executor's chunks are sized by a
 cell budget (:data:`MAX_CHUNK_CELLS`), not a trial count, so its
 working set is bounded by the budget whatever the group size or the
 waveform length.
@@ -669,7 +669,7 @@ def build_pipeline(
     def context(sources: list[PlacedSource]) -> TrialContext:
         if not sources:
             raise ExperimentError(
-                "run_trial needs at least one source"
+                "a trial needs at least one source"
             )
         clean_attack = channel.transmit(
             sources, scenario.victim_position
@@ -679,8 +679,7 @@ def build_pipeline(
             rate = clean_attack.sample_rate
             # The bed is deterministic and trial-invariant; transmit
             # it once per physical identity, bounded, instead of once
-            # per trial (or unboundedly per rate, as the old runner
-            # dict did). The key carries everything the arrived bed
+            # per trial. The key carries everything the arrived bed
             # depends on, so a cache shared across pipelines (dataset
             # cells differing only in command or class) never
             # collides and never re-transmits.

@@ -913,8 +913,12 @@ class FleetSimulator:
         with maybe_span(
             "fleet", shards=len(tasks), streams=config.n_streams
         ):
-            jobs = min(len(tasks), os.cpu_count() or 1)
-            with ExperimentEngine.scoped(engine, jobs) as eng:
-                for result in eng.map(run_shard, tasks):
-                    accumulator.add(result)
+            if engine is None:
+                jobs = min(len(tasks), os.cpu_count() or 1)
+                with ExperimentEngine(jobs) as owned:
+                    results = owned.map(run_shard, tasks)
+            else:
+                results = engine.map(run_shard, tasks)
+            for result in results:
+                accumulator.add(result)
             return accumulator.report(config)

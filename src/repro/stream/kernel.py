@@ -8,9 +8,9 @@ arithmetic is identical across streams and only the data differs:
 * chunk ingestion is one 2-D write into a shared ring
   (:class:`~repro.stream.chunker.ChunkedStreamBatch`) and one
   ``frame_rms_matrix`` reduction;
-* the segmenter state machine advances all rows per frame
-  (:class:`~repro.stream.segmenter.OnlineSegmenterBatch`; narrow
-  groups take its per-frame Python-float path);
+* the segmenter state machine advances all rows per frame, in one
+  loop over Python floats
+  (:class:`~repro.stream.segmenter.OnlineSegmenterBatch`);
 * Welch accumulation gathers every *due* segment across every open
   utterance into one stack and runs a single batched FFT
   (:func:`~repro.stream.features.welch_segment_psd`), folding rows

@@ -33,12 +33,12 @@ accumulation: every sample below
 utterance whatever happens next, because ``last_voiced`` only grows
 and the close formula is exactly that expression.
 
-Two interchangeable paths advance the machine: masked vector ops per
-frame across all rows, and, for groups narrower than
-:data:`SMALL_GROUP_ROWS`, a per-frame loop over Python floats (the
-always-on guard is a group of one, where NumPy's per-call overhead
-on 1-element arrays dominates). Both read and write the same state
-arrays and emit the same events in the same order.
+The machine advances frame by frame, row by row within each frame,
+over Python floats and ints. At every group width the program runs —
+one row for the always-on guard, up to ``FleetConfig.batch_streams``
+(64 by default) for the fleet — that loop is faster than masked
+NumPy updates across the rows, whose per-call overhead dominates at
+these widths.
 """
 
 from __future__ import annotations
@@ -142,15 +142,6 @@ class SegmenterConfig:
                 f"max_utterance_s must be positive, got "
                 f"{self.max_utterance_s}"
             )
-
-
-#: Groups narrower than this advance frame by frame over Python floats
-#: instead of masked vector ops. Measured crossover on a shared 2-core
-#: x86-64 VM (CPython 3.11, NumPy 2.4; 50 ms cycles of 5 frames at
-#: 48 kHz, a third of the rows speaking): the float loop costs about
-#: 2-3 us per row per cycle plus ~10 us, the vector path 120-200 us
-#: per cycle at any width, and the two meet between 48 and 64 rows.
-SMALL_GROUP_ROWS = 56
 
 
 @dataclass(frozen=True)
@@ -300,101 +291,6 @@ class OnlineSegmenterBatch:
                 f"energies {energies.shape} / valid {valid.shape} must "
                 f"both be ({self.n_streams}, n_new)"
             )
-        if self.n_streams < SMALL_GROUP_ROWS:
-            return self._process_rows(first_frame, energies, valid)
-        return self._process_vector(first_frame, energies, valid)
-
-    def _process_vector(
-        self, first_frame: int, energies: np.ndarray, valid: np.ndarray
-    ) -> list[BatchOpened | BatchClosed]:
-        """Masked vector ops across all rows, one frame at a time."""
-        cfg = self.config
-        events: list[BatchOpened | BatchClosed] = []
-        for j in range(energies.shape[1]):
-            f = first_frame + j
-            e = energies[:, j]
-            v = valid[:, j]
-            if not v.any():
-                self._frames_done += 1
-                continue
-            # First real frame of a row seeds its noise floor.
-            newly = v & ~self._seen
-            if newly.any():
-                self._floor[newly] = np.maximum(e[newly], cfg.floor_min)
-                self._seen |= newly
-            # Snapshot the open state *at frame entry*: a row opening
-            # this frame must not also run the close branch, and a row
-            # closing this frame must not run the open branch.
-            inut = v & self._open
-            gated = v & ~self._open
-            if gated.any():
-                active = e > cfg.open_factor * self._floor
-                inc = gated & active
-                dec = gated & ~active
-                self._consecutive[inc] += 1
-                self._consecutive[dec] = 0
-                if dec.any():
-                    self._floor[dec] = np.maximum(
-                        (1.0 - cfg.floor_alpha) * self._floor[dec]
-                        + cfg.floor_alpha * e[dec],
-                        cfg.floor_min,
-                    )
-                opening = gated & (self._consecutive >= cfg.open_frames)
-                if opening.any():
-                    open_first = f - cfg.open_frames + 1
-                    start = max(0, open_first * self.hop - self.pad)
-                    self._open |= opening
-                    self._start[opening] = start
-                    self._last_voiced[opening] = f
-                    self._consecutive[opening] = 0
-                    events.append(
-                        BatchOpened(f, np.flatnonzero(opening), start)
-                    )
-            if inut.any():
-                voiced = inut & (e > cfg.close_factor * self._floor)
-                self._last_voiced[voiced] = f
-                frame_end = f * self.hop + self.frame_len
-                forced = inut & (
-                    frame_end - self._start >= self.max_samples
-                )
-                natural = (
-                    inut
-                    & ~forced
-                    & (
-                        f - self._last_voiced
-                        >= cfg.hangover_frames + cfg.close_frames
-                    )
-                )
-                closing = forced | natural
-                if closing.any():
-                    rows = np.flatnonzero(closing)
-                    ends = np.where(
-                        forced[rows],
-                        self._start[rows] + self.max_samples,
-                        self._last_voiced[rows] * self.hop
-                        + self.frame_len
-                        + self.pad,
-                    )
-                    events.append(
-                        BatchClosed(
-                            f,
-                            rows,
-                            self._start[rows].copy(),
-                            ends,
-                            forced[rows].copy(),
-                        )
-                    )
-                    self._open[closing] = False
-                    self._consecutive[closing] = 0
-            self._frames_done += 1
-        return events
-
-    def _process_rows(
-        self, first_frame: int, energies: np.ndarray, valid: np.ndarray
-    ) -> list[BatchOpened | BatchClosed]:
-        """The same machine over Python floats and ints, row by row
-        inside each frame: the same IEEE-754 double operations as the
-        vector path, without NumPy's per-call overhead."""
         cfg = self.config
         hop, frame_len, pad = self.hop, self.frame_len, self.pad
         max_samples = self.max_samples

@@ -2,9 +2,9 @@
 
 The contract under test is strict: a trial's outcome — success, DTW
 distance, recorded waveform — does not depend on which chunk it runs
-in, whether it runs through the engine or the one-trial
-:class:`~repro.sim.runner.ScenarioRunner`, or whether the hardware
-and scenario models are stock or subclassed.
+in, whether it runs through the engine or straight through the
+scenario's pipeline as a chunk of one, or whether the hardware and
+scenario models are stock or subclassed.
 """
 
 import copy
@@ -21,7 +21,6 @@ from repro.hardware.microphone import Microphone
 from repro.hardware.nonlinearity import PolynomialNonlinearity
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
 from repro.sim.pipeline import build_pipeline
-from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import Scenario, VictimDevice
 
 
@@ -91,15 +90,14 @@ class TestKernelEquivalence:
     @pytest.fixture(scope="class")
     def pair(self, scenario, phone_device, emission_spec):
         """Three trials one at a time vs as one stacked chunk."""
-        runner = ScenarioRunner(scenario, phone_device)
-        sources = list(emission_spec.sources())
+        pipeline = build_pipeline(scenario, phone_device)
+        ctx = pipeline.context(emission_spec.sources())
         one_by_one = [
-            runner.run_trial(sources, rng)
+            pipeline.run_trials(ctx, [rng])[0]
             for rng in np.random.default_rng(5).spawn(3)
         ]
-        pipeline = build_pipeline(scenario, phone_device)
         chunked = pipeline.run_trials(
-            pipeline.context(sources), np.random.default_rng(5).spawn(3)
+            ctx, np.random.default_rng(5).spawn(3)
         )
         return one_by_one, chunked
 
@@ -110,13 +108,15 @@ class TestKernelEquivalence:
     def test_batch_of_one_is_exactly_scalar(
         self, scenario, phone_device, emission_spec
     ):
-        """The engine's one-trial group == the runner's one trial."""
+        """The engine's one-trial group == the pipeline's one trial."""
         group = TrialGroup(scenario, phone_device, emission_spec, 1)
-        runner = ScenarioRunner(scenario, phone_device)
+        pipeline = build_pipeline(scenario, phone_device)
         # The engine spawns one child per group, then one per trial.
         (group_rng,) = np.random.default_rng(11).spawn(1)
         (trial_rng,) = group_rng.spawn(1)
-        single = runner.run_trial(group.resolve_sources(), trial_rng)
+        (single,) = pipeline.run_trials(
+            pipeline.context(emission_spec.sources()), [trial_rng]
+        )
         with ExperimentEngine(jobs=1) as engine:
             (engined,) = engine.run_trial_groups(
                 [group], np.random.default_rng(11)

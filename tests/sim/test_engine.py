@@ -105,14 +105,11 @@ class TestDeterminismAcrossJobs:
     @pytest.fixture(scope="class")
     def outcome_pair(self, scenario, phone_device, emission_spec):
         def trials(jobs):
+            group = TrialGroup(scenario, phone_device, emission_spec, 4)
             with ExperimentEngine(jobs=jobs) as engine:
-                return engine.run_trials(
-                    scenario,
-                    phone_device,
-                    emission_spec,
-                    4,
-                    np.random.default_rng(17),
-                )
+                return engine.run_trial_groups(
+                    [group], np.random.default_rng(17)
+                )[0]
 
         return trials(1), trials(4)
 
@@ -153,34 +150,15 @@ class TestTrialValidation:
     def test_zero_trials_rejected(
         self, scenario, phone_device, emission_spec
     ):
+        group = TrialGroup(scenario, phone_device, emission_spec, 0)
         engine = ExperimentEngine(jobs=1)
         with pytest.raises(ExperimentError):
-            engine.run_trials(
-                scenario,
-                phone_device,
-                emission_spec,
-                0,
-                np.random.default_rng(0),
-            )
+            engine.run_trial_groups([group], np.random.default_rng(0))
 
     def test_empty_groups_rejected(self):
         engine = ExperimentEngine(jobs=1)
         with pytest.raises(ExperimentError):
             engine.run_trial_groups([], np.random.default_rng(0))
-
-    def test_empty_distances_rejected(
-        self, scenario, phone_device, emission_spec
-    ):
-        engine = ExperimentEngine(jobs=1)
-        with pytest.raises(ExperimentError):
-            engine.accuracy_over_distances(
-                scenario,
-                phone_device,
-                emission_spec,
-                [],
-                1,
-                np.random.default_rng(0),
-            )
 
     def test_bad_threshold_rejected(
         self, scenario, phone_device, emission_spec

@@ -55,7 +55,7 @@ from repro.sim.fuzz import (
     is_fuzz_name,
     parse_fuzz_seed,
 )
-from repro.sim.runner import ScenarioRunner
+from repro.sim.pipeline import build_pipeline
 from repro.sim.scenario import VictimDevice
 from repro.sim.spec import (
     RIG_POSITION,
@@ -317,9 +317,9 @@ class TestDifferentialOracle:
         assert spec.trajectory is not None and spec.trajectory.legs
         scenario = spec.build("ok_google", spec.distance_m)
         group = TrialGroup(scenario, phone_device, emission_spec, 3)
-        pipeline = ScenarioRunner(scenario, phone_device).pipeline
+        pipeline = build_pipeline(scenario, phone_device)
         chunked = pipeline.run_trials(
-            pipeline.context(group.resolve_sources()), trial_rngs(3)
+            pipeline.context(emission_spec.sources()), trial_rngs(3)
         )
         with ExperimentEngine(jobs=2) as engine:
             fanned = engine.run_trial_groups(

@@ -36,7 +36,6 @@ from repro.sim.pipeline import (
     chunk_trials_for,
     level_stage,
 )
-from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import VictimDevice
 from repro.sim.spec import get_scenario
 
@@ -144,11 +143,6 @@ class TestInvariantPrecompute:
         assert pipeline.invariants.stats.misses == 1
         assert pipeline.invariants.stats.hits == 1
         assert ctx_a.clean_interference is ctx_b.clean_interference
-
-    def test_runner_shares_the_bounded_cache(self, phone_device):
-        scenario = get_scenario("tv_interference").build("ok_google", 2.0)
-        runner = ScenarioRunner(scenario, phone_device)
-        assert runner.pipeline.invariants.max_entries <= 8
 
     def test_free_field_context_skips_the_bed(
         self, phone_device, emission_sources

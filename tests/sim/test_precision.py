@@ -58,7 +58,7 @@ def _traced_profile(pipeline, ctx, runs, n_trials, chunk_trials=None):
 class TestStageProfile:
     def test_one_span_per_stage_call(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
-        ctx = pipeline.context(group.resolve_sources())
+        ctx = pipeline.context(group.emission.sources())
         profile = _traced_profile(
             pipeline, ctx, 1, group.n_trials, chunk_trials=1
         )
@@ -72,7 +72,7 @@ class TestStageProfile:
 
     def test_trial_counts_and_rows(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
-        ctx = pipeline.context(group.resolve_sources())
+        ctx = pipeline.context(group.emission.sources())
         profile = _traced_profile(pipeline, ctx, 1, group.n_trials)
         rows = profile.as_rows()
         assert all(row["mode"] == "batch" for row in rows)
@@ -89,7 +89,7 @@ class TestStageProfile:
         self, scenario, phone_device, group
     ):
         pipeline = build_pipeline(scenario, phone_device)
-        ctx = pipeline.context(group.resolve_sources())
+        ctx = pipeline.context(group.emission.sources())
         profile = _traced_profile(pipeline, ctx, 2, group.n_trials)
         for (_, _), timing in profile.timings.items():
             assert timing.trials == 2 * group.n_trials
@@ -98,7 +98,7 @@ class TestStageProfile:
 class TestRecognizeBatch:
     def test_bitwise_equal_to_scalar(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
-        ctx = pipeline.context(group.resolve_sources())
+        ctx = pipeline.context(group.emission.sources())
         rngs = np.random.default_rng(11).spawn(6)
         outcomes = pipeline.run_trials(ctx, rngs)
         recognizer = phone_device.recognizer

@@ -26,7 +26,6 @@ from repro.errors import ExperimentError
 from repro.experiments._emissions import single_full
 from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
 from repro.sim.pipeline import build_pipeline
-from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import (
     AttackerMotion,
     InterferenceSource,
@@ -42,7 +41,6 @@ from repro.sim.spec import (
     register_scenario,
     scenario_names,
 )
-from repro.sim.sweep import success_rate_by_scenario
 
 EXPECTED_SCENARIOS = {
     "free_field",
@@ -197,12 +195,14 @@ class TestInterference:
         quiet = get_scenario("living_room").build("ok_google", 2.0)
         noisy = get_scenario("tv_interference").build("ok_google", 2.0)
         sources = EmissionSpec(single_full, ("ok_google", 5)).sources()
-        a = ScenarioRunner(quiet, phone_device).run_trial(
-            list(sources), np.random.default_rng(4)
-        )
-        b = ScenarioRunner(noisy, phone_device).run_trial(
-            list(sources), np.random.default_rng(4)
-        )
+
+        def one_trial(scenario):
+            pipeline = build_pipeline(scenario, phone_device)
+            return pipeline.run_trials(
+                pipeline.context(sources), [np.random.default_rng(4)]
+            )[0]
+
+        a, b = one_trial(quiet), one_trial(noisy)
         assert not np.array_equal(
             a.recording.samples, b.recording.samples
         )
@@ -269,14 +269,14 @@ class TestScenarioDifferential:
         for name in scenario_names():
             scenario = get_scenario(name).build("ok_google", 2.0)
             group = TrialGroup(scenario, phone_device, emission_spec, 3)
-            pipeline = ScenarioRunner(scenario, phone_device).pipeline
+            pipeline = build_pipeline(scenario, phone_device)
             # The exact streams the engine derives for a single group:
             # one child per group, then one grandchild per trial — so
             # the engine comparison below is bitwise, not just seeded
             # alike.
             (group_rng,) = np.random.default_rng(5).spawn(1)
             outcomes = pipeline.run_trials(
-                pipeline.context(group.resolve_sources()),
+                pipeline.context(emission_spec.sources()),
                 group_rng.spawn(3),
             )
             results[name] = (group, outcomes)
@@ -335,28 +335,19 @@ class TestScenarioDifferential:
     def test_scenario_sweep_runs_every_environment(
         self, phone_device, emission_spec
     ):
-        rates = success_rate_by_scenario(
-            scenario_names(),
-            "ok_google",
-            phone_device,
-            emission_spec,
-            n_trials=1,
-            rng=np.random.default_rng(1),
-            distance_m=1.0,
-        )
-        assert [name for name, _ in rates] == list(scenario_names())
-        assert all(0.0 <= rate <= 1.0 for _, rate in rates)
-
-    def test_scenario_sweep_refuses_unfittable_pinned_distance(
-        self, phone_device, emission_spec
-    ):
-        with pytest.raises(ExperimentError, match="does not fit"):
-            success_rate_by_scenario(
-                ["free_field", "living_room"],
-                "ok_google",
+        """One attack across every registered environment, pinned at
+        1 m, as a single wave of trial groups."""
+        groups = [
+            TrialGroup(
+                get_scenario(name).build("ok_google", distance_m=1.0),
                 phone_device,
                 emission_spec,
-                n_trials=1,
-                rng=np.random.default_rng(1),
-                distance_m=6.0,
+                1,
             )
+            for name in scenario_names()
+        ]
+        rates = ExperimentEngine(jobs=1).success_rates(
+            groups, np.random.default_rng(1)
+        )
+        assert len(rates) == len(scenario_names())
+        assert all(0.0 <= rate <= 1.0 for rate in rates)

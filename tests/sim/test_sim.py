@@ -1,11 +1,12 @@
-"""Unit tests for the sim package (scenario, runner, sweep, results)."""
+"""Unit tests for the sim package (scenario, trials, results)."""
 
 import pytest
 
 from repro.acoustics.geometry import Position, Room
 from repro.sim.results import ResultTable
-from repro.sim.engine import ExperimentEngine
-from repro.sim.runner import ScenarioRunner
+from repro.experiments._emissions import single_full
+from repro.sim.engine import EmissionSpec, ExperimentEngine, TrialGroup
+from repro.sim.pipeline import build_pipeline
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.errors import ExperimentError
 
@@ -66,11 +67,15 @@ class TestVictimDevice:
 
 
 class TestRunner:
+    """Trials through the scenario's pipeline, one generator each."""
+
     def test_trial_outcome_fields(
         self, base_scenario, phone_device, attack_emission, rng
     ):
-        runner = ScenarioRunner(base_scenario, phone_device)
-        outcome = runner.run_trial(list(attack_emission.sources), rng)
+        pipeline = build_pipeline(base_scenario, phone_device)
+        (outcome,) = pipeline.run_trials(
+            pipeline.context(attack_emission.sources), [rng]
+        )
         assert outcome.recognized_command in phone_device.recognizer.commands
         assert outcome.recording.sample_rate == 48000.0
         assert isinstance(outcome.success, bool)
@@ -78,8 +83,10 @@ class TestRunner:
     def test_full_drive_attack_succeeds_at_2m(
         self, base_scenario, phone_device, attack_emission, rng
     ):
-        runner = ScenarioRunner(base_scenario, phone_device)
-        outcomes = runner.run_trials(list(attack_emission.sources), 3, rng)
+        pipeline = build_pipeline(base_scenario, phone_device)
+        outcomes = pipeline.run_trials(
+            pipeline.context(attack_emission.sources), rng.spawn(3)
+        )
         assert sum(o.success for o in outcomes) >= 2
 
     def test_unenrolled_command_rejected(self, phone_device):
@@ -89,52 +96,26 @@ class TestRunner:
             victim_position=Position(2, 2, 1),
         )
         with pytest.raises(ExperimentError):
-            ScenarioRunner(scenario, phone_device)
+            build_pipeline(scenario, phone_device)
 
-    def test_empty_sources_rejected(
-        self, base_scenario, phone_device, rng
-    ):
-        runner = ScenarioRunner(base_scenario, phone_device)
+    def test_empty_sources_rejected(self, base_scenario, phone_device):
+        pipeline = build_pipeline(base_scenario, phone_device)
         with pytest.raises(ExperimentError):
-            runner.run_trial([], rng)
+            pipeline.context([])
 
 
 class TestSweep:
-    """The engine's sweep methods, on a serial engine."""
+    """The engine's success-rate wave, on a serial engine."""
 
-    def test_success_rate_bounds(
-        self, base_scenario, phone_device, attack_emission, rng
-    ):
-        rate = ExperimentEngine(jobs=1).success_rate(
-            base_scenario, phone_device, list(attack_emission.sources), 2, rng
-        )
-        assert 0.0 <= rate <= 1.0
-
-    def test_accuracy_over_distances_shape(
-        self, base_scenario, phone_device, attack_emission, rng
-    ):
-        results = ExperimentEngine(jobs=1).accuracy_over_distances(
+    def test_success_rate_bounds(self, base_scenario, phone_device, rng):
+        group = TrialGroup(
             base_scenario,
             phone_device,
-            list(attack_emission.sources),
-            [1.0, 2.0],
-            1,
-            rng,
+            EmissionSpec(single_full, ("ok_google", 5)),
+            2,
         )
-        assert [d for d, _ in results] == [1.0, 2.0]
-
-    def test_empty_distances_rejected(
-        self, base_scenario, phone_device, attack_emission, rng
-    ):
-        with pytest.raises(ExperimentError):
-            ExperimentEngine(jobs=1).accuracy_over_distances(
-                base_scenario,
-                phone_device,
-                list(attack_emission.sources),
-                [],
-                1,
-                rng,
-            )
+        (rate,) = ExperimentEngine(jobs=1).success_rates([group], rng)
+        assert 0.0 <= rate <= 1.0
 
 
 class TestResultTable:

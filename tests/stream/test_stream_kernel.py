@@ -419,7 +419,28 @@ def _segmenter_state(seg):
     ] + [seg._frames_done]
 
 
-class TestSegmenterPaths:
+def _row_events(events, row):
+    """One row's share of a group's events, row index dropped."""
+    out = []
+    for event in events:
+        hits = np.flatnonzero(event.rows == row)
+        if not len(hits):
+            continue
+        (k,) = hits
+        if isinstance(event, BatchOpened):
+            out.append(("open", event.frame, event.start_sample))
+        else:
+            out.append((
+                "close",
+                event.frame,
+                int(event.start_samples[k]),
+                int(event.end_samples[k]),
+                bool(event.forced[k]),
+            ))
+    return out
+
+
+class TestSegmenterInvariants:
     #: Quiet, hysteresis-band and loud levels against an EMA floor
     #: near 1, plus exact zeros (the floor clamp) and arbitrary values.
     LEVELS = st.one_of(
@@ -427,13 +448,9 @@ class TestSegmenterPaths:
         st.floats(min_value=0.0, max_value=50.0),
     )
 
-    @settings(max_examples=FUZZ_EXAMPLES * 5, deadline=None)
-    @given(data=st.data())
-    def test_row_loop_matches_vector_path(self, data):
-        """The narrow-group Python-float loop and the masked vector
-        path emit the same events and leave bitwise-equal state, over
-        rows that end early, forced closes and hysteresis, cut into
-        arbitrary blocks."""
+    def draw_case(self, data):
+        """Energies, validity (rows that end early) and a gate tuning
+        that reaches forced closes and the hysteresis band."""
         n_rows = data.draw(st.integers(min_value=1, max_value=6))
         n_frames = data.draw(st.integers(min_value=1, max_value=80))
         energies = np.array(
@@ -462,25 +479,53 @@ class TestSegmenterPaths:
             close_frames=data.draw(st.integers(min_value=1, max_value=4)),
             max_utterance_s=data.draw(st.sampled_from([0.1, 0.2, 10.0])),
         )
+        return energies, valid, config
+
+    @settings(max_examples=FUZZ_EXAMPLES * 5, deadline=None)
+    @given(data=st.data())
+    def test_any_block_cut_matches_one_call(self, data):
+        """Cutting the frames into arbitrary blocks gives the events
+        and leaves the state of one uncut ``process_block`` call."""
+        energies, valid, config = self.draw_case(data)
+        n_rows, n_frames = energies.shape
         cuts = data.draw(
             st.sets(st.integers(min_value=1, max_value=n_frames), max_size=4)
         )
         edges = [0] + sorted(cuts - {n_frames}) + [n_frames]
-        rows_seg = OnlineSegmenterBatch(n_rows, 16000.0, config)
-        vector_seg = OnlineSegmenterBatch(n_rows, 16000.0, config)
+        whole = OnlineSegmenterBatch(n_rows, 16000.0, config)
+        uncut = whole.process_block(0, energies, valid)
+        blocked = OnlineSegmenterBatch(n_rows, 16000.0, config)
+        cut_events = []
         for lo, hi in zip(edges, edges[1:]):
-            by_rows = rows_seg._process_rows(
-                lo, energies[:, lo:hi], valid[:, lo:hi]
+            cut_events.extend(
+                blocked.process_block(
+                    lo, energies[:, lo:hi], valid[:, lo:hi]
+                )
             )
-            by_vector = vector_seg._process_vector(
-                lo, energies[:, lo:hi], valid[:, lo:hi]
+        assert _segmenter_events(cut_events) == _segmenter_events(uncut)
+        assert _segmenter_state(blocked) == _segmenter_state(whole)
+
+    @settings(max_examples=FUZZ_EXAMPLES * 5, deadline=None)
+    @given(data=st.data())
+    def test_each_row_matches_a_group_of_one(self, data):
+        """Rows never exchange information: each row's events and
+        state slots equal that row's run as a group of one."""
+        energies, valid, config = self.draw_case(data)
+        n_rows = energies.shape[0]
+        group = OnlineSegmenterBatch(n_rows, 16000.0, config)
+        events = group.process_block(0, energies, valid)
+        state = _segmenter_state(group)
+        for row in range(n_rows):
+            alone = OnlineSegmenterBatch(1, 16000.0, config)
+            alone_events = alone.process_block(
+                0, energies[row : row + 1], valid[row : row + 1]
             )
-            assert _segmenter_events(by_rows) == _segmenter_events(
-                by_vector
-            )
-            assert _segmenter_state(rows_seg) == _segmenter_state(
-                vector_seg
-            )
+            assert _row_events(events, row) == _row_events(alone_events, 0)
+            alone_state = _segmenter_state(alone)
+            assert [slots[row] for slots in state[:-1]] == [
+                slots[0] for slots in alone_state[:-1]
+            ]
+            assert state[-1] == alone_state[-1]
 
 
 class TestRecognizeMany:

@@ -13,6 +13,8 @@ the accumulator's double-count/missing-stream validation.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from strategies import index_partitions
@@ -108,6 +110,23 @@ class TestPartitionInvariance:
         assert report.digest() == unsharded_report.digest()
         assert len(report.shard_wall_seconds) == 2
         assert all(w > 0 for w in report.shard_wall_seconds)
+
+    def test_temporary_pool_leaves_no_process_behind(
+        self, stream_detector
+    ):
+        """With no engine given, the fleet owns a pool for the run
+        and shuts it down before returning."""
+        config = FleetConfig(
+            n_streams=4,
+            utterances_per_stream=1,
+            attack_fraction=0.5,
+            seed=9,
+            shards=2,
+        )
+        before = {child.pid for child in multiprocessing.active_children()}
+        FleetSimulator(stream_detector, config).run()
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after <= before
 
 
 class TestPlan:

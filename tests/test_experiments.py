@@ -260,6 +260,16 @@ class TestCli:
             parameters = inspect.signature(module.run).parameters
             assert "scenario" in parameters, name
 
+    def test_engine_is_the_one_parallelism_handle(self):
+        """Every experiment takes an ``engine`` and no ``jobs``: the
+        caller sizes the one engine."""
+        import inspect
+
+        for name, module in ALL_EXPERIMENTS.items():
+            parameters = inspect.signature(module.run).parameters
+            assert parameters["engine"].default is None, name
+            assert "jobs" not in parameters, name
+
     def test_scenario_on_every_experiment_cli(self, capsys):
         # F1 is the cheapest full-chain experiment; the same kwarg
         # plumbing serves all 15 (pinned by the signature test above).

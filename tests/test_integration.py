@@ -25,10 +25,19 @@ from repro.hardware.devices import (
     ultrasonic_piezo_element,
 )
 from repro.psychoacoustics.audibility import evaluate_audibility
-from repro.sim.runner import ScenarioRunner
+from repro.sim.pipeline import build_pipeline
 from repro.sim.scenario import Scenario, VictimDevice
 
 ORIGIN = Position(0.0, 2.0, 1.0)
+
+
+def run_trials(scenario, device, sources, n_trials, rng):
+    """``n_trials`` trials of one emission through the scenario's
+    pipeline, each on its own child of ``rng``."""
+    pipeline = build_pipeline(scenario, device)
+    return pipeline.run_trials(
+        pipeline.context(sources), rng.spawn(n_trials)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +86,8 @@ class TestAttackStoryline:
         report = evaluate_audibility(audible_part)
         assert report.margin_db < 3.0
         # ...yet the device recognises the command.
-        runner = ScenarioRunner(scenario, device)
-        outcomes = runner.run_trials(
-            list(array_emission.sources), 3, rng
+        outcomes = run_trials(
+            scenario, device, array_emission.sources, 3, rng
         )
         assert sum(o.success for o in outcomes) >= 2
 
@@ -91,8 +99,9 @@ class TestAttackStoryline:
             microphone=ideal_linear_microphone(),
             recognizer=device.recognizer,
         )
-        runner = ScenarioRunner(scenario, linear_device)
-        outcomes = runner.run_trials(list(attack_emission.sources), 3, rng)
+        outcomes = run_trials(
+            scenario, linear_device, attack_emission.sources, 3, rng
+        )
         assert sum(o.success for o in outcomes) == 0
 
     def test_inaudibility_cap_kills_single_speaker_range(
@@ -100,8 +109,9 @@ class TestAttackStoryline:
     ):
         attacker = SingleSpeakerAttacker(horn_tweeter(), ORIGIN)
         emission = attacker.emit_inaudibly(ok_google_voice)
-        runner = ScenarioRunner(scenario.at_distance(2.0), device)
-        outcomes = runner.run_trials(list(emission.sources), 3, rng)
+        outcomes = run_trials(
+            scenario.at_distance(2.0), device, emission.sources, 3, rng
+        )
         assert sum(o.success for o in outcomes) == 0
 
     def test_split_array_succeeds_where_single_fails(
@@ -116,8 +126,9 @@ class TestAttackStoryline:
                 source.pressure_at_1m
             ).margin_db < 3.0
         # ...but the command lands at 4 m.
-        runner = ScenarioRunner(scenario.at_distance(4.0), device)
-        outcomes = runner.run_trials(list(emission.sources), 3, rng)
+        outcomes = run_trials(
+            scenario.at_distance(4.0), device, emission.sources, 3, rng
+        )
         assert sum(o.success for o in outcomes) >= 2
 
 
