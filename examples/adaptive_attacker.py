@@ -3,11 +3,16 @@
 The defense keys on the quadratic demodulation residue. The attacker's
 only lever over that residue (without losing the attack entirely) is
 the modulation depth: shallower modulation leaves a fainter trace —
-and a fainter *command*. This example sweeps the depth and shows both
-sides of the trade.
+and a fainter *command*. This example sweeps the depth down until the
+command no longer gets through, and computes its conclusion from the
+table: the defense wins if the attack fails before it goes undetected.
+The script exits non-zero if the sweep shows the opposite, or never
+starves the attack.
 
-Run: ``python examples/adaptive_attacker.py``   (takes ~1 minute)
+Run: ``python examples/adaptive_attacker.py``   (takes ~5 s)
 """
+
+import sys
 
 import numpy as np
 
@@ -48,7 +53,8 @@ pipeline = build_pipeline(scenario, device)
 voice = synthesize_command("ok_google", rng)
 
 print("mod depth   attack success   detected   mean detector score")
-for depth in (1.0, 0.5, 0.25, 0.15):
+rows = []
+for depth in (1.0, 0.5, 0.25, 0.15, 0.05, 0.02, 0.01):
     attacker = SingleSpeakerAttacker(
         horn_tweeter(), ORIGIN, AttackPipelineConfig(modulation_depth=depth)
     )
@@ -64,8 +70,28 @@ for depth in (1.0, 0.5, 0.25, 0.15):
     print(
         f"{depth:9.2f}   {success:14.2f}   {detected:8.2f}   {score:10.3f}"
     )
+    rows.append((depth, success, detected))
 
-print(
-    "\nShallower modulation starves the attack before it hides the "
-    "trace: the defense wins the trade."
-)
+# A depth "works" for the attacker when most injections succeed, and
+# "hides" when most go undetected.
+evading = [depth for depth, s, d in rows if s > 0.5 and d <= 0.5]
+starved = [(depth, d) for depth, s, d in rows if s <= 0.5]
+if evading:
+    print(
+        f"\nAt depth {evading[0]:.2f} the attack succeeds undetected: "
+        "the attacker wins the trade."
+    )
+elif starved:
+    depth, detected = starved[0]
+    print(
+        f"\nThe attack is detected at every depth where it succeeds, and "
+        f"fails at depth {depth:.2f} (detection still {detected:.2f}): "
+        "shallower modulation starves the attack before it hides the "
+        "trace, so the defense wins the trade."
+    )
+else:
+    print(
+        "\nThe attack succeeds, and is detected, at every depth swept: "
+        "this sweep does not show the trade."
+    )
+sys.exit(0 if starved and not evading else 1)

@@ -45,7 +45,6 @@ from repro.hardware.devices import (
     horn_tweeter,
     ultrasonic_piezo_element,
 )
-from repro.sim.cache import EmissionCache
 from repro.sim.pipeline import build_pipeline, level_stage
 from repro.sim.scenario import Scenario
 from repro.sim.spec import RIG_POSITION, ScenarioSpec, get_scenario
@@ -265,11 +264,6 @@ def build_dataset(config: DatasetConfig) -> LabeledDataset:
     attacker = _build_attacker(config, RIG_POSITION)
     low_spl, high_spl = config.speech_spl_range
     names = config.feature_subset or FEATURE_NAMES
-    # One invariants cache shared by every cell's pipelines: the
-    # transmitted interference bed depends on geometry and rate, not
-    # on command or class, so a tv_interference dataset propagates it
-    # once per distance instead of once per (command, distance, class).
-    invariants = EmissionCache()
     recordings = []
     labels: list[int] = []
     metadata: list[dict] = []
@@ -296,7 +290,6 @@ def build_dataset(config: DatasetConfig) -> LabeledDataset:
                     GENUINE_REFERENCE_SPL,
                     capture=levels,
                 ),
-                invariants=invariants,
             )
             genuine_recordings = genuine_pipeline.run_trials(
                 genuine_pipeline.context(genuine_sources),
@@ -320,7 +313,6 @@ def build_dataset(config: DatasetConfig) -> LabeledDataset:
                 scenario,
                 microphone,
                 recognize=False,
-                invariants=invariants,
             )
             attack_recordings = attack_pipeline.run_trials(
                 attack_pipeline.context(attack_sources),

@@ -36,11 +36,12 @@ import inspect
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import replace
 
 from repro.errors import ExperimentError, ReproError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.obs import trace as obs_trace
-from repro.sim.engine import ExperimentEngine
+from repro.sim.engine import ExperimentEngine, process_cache
 from repro.sim.spec import get_scenario, scenario_names
 
 
@@ -199,10 +200,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     # Tracing is opt-in: the tracer installs as the ambient collector
     # for the whole run, and the instrumented layers (pipeline,
-    # engine, fleet, kernel, shards) feed it. It changes no stdout
+    # engine, fleet, kernel, shards) feed it; each experiment span
+    # carries the process cache's hits, misses and evictions over the
+    # experiment and the bytes it holds at the end. It changes no stdout
     # byte — the CI observability job diffs traced vs untraced runs
     # to prove it.
     tracer = obs_trace.Tracer() if args.trace is not None else None
+    cache = process_cache()
     with (
         obs_trace.activate(tracer) if tracer is not None else nullcontext()
     ), engine:
@@ -231,8 +235,21 @@ def main(argv: list[str] | None = None) -> int:
                     experiment=name,
                     scenario=args.scenario,
                     seed=args.seed,
-                ):
+                ) as span_id:
+                    # This process's cache only: pool workers keep
+                    # their own.
+                    before = replace(cache.stats)
                     table = module.run(**kwargs)
+                    if tracer is not None:
+                        tracer.annotate(
+                            span_id,
+                            cache_hits=cache.stats.hits - before.hits,
+                            cache_misses=cache.stats.misses - before.misses,
+                            cache_evictions=(
+                                cache.stats.evictions - before.evictions
+                            ),
+                            cache_bytes=cache.nbytes,
+                        )
             except ReproError as error:
                 # A generated environment can be legitimately
                 # unrunnable for a particular sweep (e.g. a room too

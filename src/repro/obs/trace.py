@@ -120,6 +120,8 @@ class Tracer:
         self._next_id = 1
         self._spans: list[Span] = []
         self._stack = threading.local()
+        #: Attributes of the spans open in :meth:`span`, by id.
+        self._open: dict[int, dict[str, Any]] = {}
 
     # -- ids and the nesting stack ---------------------------------
 
@@ -209,6 +211,7 @@ class Tracer:
         if parent_id == "inherit":
             parent_id = self.current_parent()
         span_id = self.new_id()
+        self._open[span_id] = attrs
         frames = self._stack_frames()
         frames.append(span_id)
         started = time.perf_counter()
@@ -223,8 +226,13 @@ class Tracer:
                 ended,
                 parent_id=parent_id,
                 span_id=span_id,
-                **attrs,
+                **self._open.pop(span_id),
             )
+
+    def annotate(self, span_id: int, **attrs: Any) -> None:
+        """Add attributes to a :meth:`span` that is still open: figures
+        known only once its work is done."""
+        self._open[span_id].update(attrs)
 
     # -- merging worker traces -------------------------------------
 

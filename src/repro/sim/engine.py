@@ -11,11 +11,13 @@ their noise draws. Three observations make the whole suite scale:
    are bit-identical for any ``jobs`` value — parallelism never
    changes the science, only the wall clock.
 2. **Emissions are expensive, deterministic and large.** A 32-element
-   array emission takes ~1 s to synthesise and ~45 MB to pickle, so
-   shipping waveforms to workers would drown the pool in IPC. Instead
-   work units carry an :class:`EmissionSpec` — a module-level builder
-   plus picklable arguments — and every process materialises it at
-   most once through a local :class:`EmissionCache`.
+   array emission takes ~1 s to synthesise and ~73 MB to pickle (45 MB
+   of radiated sources, 28 MB of split-plan drives), so shipping
+   waveforms to workers would drown the pool in IPC. Instead work
+   units carry an :class:`EmissionSpec` — a module-level builder plus
+   picklable arguments — and every process materialises it through
+   its byte-bounded :func:`process_cache`, once per recipe while the
+   recipe stays in the cache's budget.
 3. **The serial path is the degenerate case.** With ``jobs=1`` the
    engine runs every task in-process with no executor, identical code
    path, identical numbers.
@@ -51,13 +53,12 @@ from repro.obs.trace import (
     current_tracer,
     maybe_span,
 )
-from repro.sim.cache import CacheStats, EmissionCache, stable_key
+from repro.sim.cache import EmissionCache, process_cache, stable_key
 from repro.sim.pipeline import TrialOutcome, build_pipeline
 from repro.sim.scenario import Scenario, VictimDevice
 from repro.speech.commands import synthesize_command
 
 __all__ = [
-    "CacheStats",
     "EmissionCache",
     "EmissionSpec",
     "ExperimentEngine",
@@ -71,17 +72,6 @@ __all__ = [
 ]
 
 
-#: The per-process cache. Workers forked from a warm parent inherit
-#: its entries for free; workers that miss recompute once and keep the
-#: result for every later task they execute.
-_PROCESS_CACHE = EmissionCache()
-
-
-def process_cache() -> EmissionCache:
-    """The calling process's emission/synthesis cache."""
-    return _PROCESS_CACHE
-
-
 def cached_voice(command: str, seed: int) -> Signal:
     """Synthesise ``command`` from a fresh ``default_rng(seed)``, cached.
 
@@ -89,7 +79,7 @@ def cached_voice(command: str, seed: int) -> Signal:
     generator state is what makes voices shareable across experiments,
     distances and worker processes.
     """
-    return _PROCESS_CACHE.get_or_compute(
+    return process_cache().get_or_compute(
         stable_key("voice", command, seed),
         lambda: synthesize_command(command, np.random.default_rng(seed)),
     )
@@ -121,7 +111,7 @@ class EmissionSpec:
 
     def emission(self) -> Any:
         """The built emission object, from the process cache."""
-        return _PROCESS_CACHE.get_or_compute(
+        return process_cache().get_or_compute(
             self.key, lambda: self.builder(*self.args)
         )
 

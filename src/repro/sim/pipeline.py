@@ -44,7 +44,7 @@ from repro.dsp.signals import Signal, SignalBatch
 from repro.errors import ExperimentError
 from repro.hardware.microphone import Microphone
 from repro.obs.trace import current_tracer
-from repro.sim.cache import EmissionCache, stable_key
+from repro.sim.cache import process_cache, stable_key
 from repro.sim.scenario import Scenario, VictimDevice
 
 #: Float64 cells one stacked executor pass may hold per trial-chunk
@@ -57,12 +57,6 @@ from repro.sim.scenario import Scenario, VictimDevice
 #: zero-phase initial conditions, batch construction); row-at-a-time
 #: filtering keeps the hot DSP cache-resident at any stack height.
 MAX_CHUNK_CELLS = 1 << 20
-
-#: Transmitted interference beds retained per invariants cache. Real
-#: runs see a handful of (geometry, sample rate) combinations; the
-#: bound exists so a sweeping caller cannot grow the precompute cache
-#: without limit (the unbounded dict this replaces).
-_INVARIANT_CACHE_ENTRIES = 8
 
 
 @dataclass
@@ -282,7 +276,6 @@ class TrialPipeline:
         context_builder: (
             Callable[[list[PlacedSource]], TrialContext] | None
         ) = None,
-        invariants: EmissionCache | None = None,
     ) -> None:
         stages = tuple(stages)
         if not stages:
@@ -296,11 +289,6 @@ class TrialPipeline:
             )
         self.stages = stages
         self._context_builder = context_builder
-        #: The bounded cache behind the trial-invariant precompute
-        #: (transmitted interference beds, keyed by sample rate);
-        #: exposed for cache-accounting tests. ``None`` for synthetic
-        #: pipelines without a context builder.
-        self.invariants = invariants
 
     # -- introspection ------------------------------------------------
 
@@ -599,7 +587,6 @@ def build_pipeline(
     device: VictimDevice | Microphone,
     recognize: bool = True,
     gain_stage: Stage | None = None,
-    invariants: EmissionCache | None = None,
 ) -> TrialPipeline:
     """Assemble the trial pipeline for a (scenario, device) pair.
 
@@ -625,14 +612,6 @@ def build_pipeline(
         the defense dataset's talker-level draw
         (:func:`level_stage`). Its draw happens *before* the motion
         gain's.
-    invariants:
-        Optional shared :class:`~repro.sim.cache.EmissionCache` for
-        the trial-invariant precompute. Passing one cache to several
-        pipelines (the defense dataset builds one per cell) lets them
-        share transmitted interference beds — the cache key carries
-        the bed's full physical identity (sources, geometry, weather,
-        rate), so sharing is always safe. ``None`` gives the pipeline
-        a private bounded cache.
     """
     if isinstance(device, Microphone):
         if recognize:
@@ -663,8 +642,6 @@ def build_pipeline(
     stages.extend(record_stages(microphone))
     if recognize:
         stages.append(recognize_stage(scenario, device))
-    if invariants is None:
-        invariants = EmissionCache(max_entries=_INVARIANT_CACHE_ENTRIES)
 
     def context(sources: list[PlacedSource]) -> TrialContext:
         if not sources:
@@ -678,12 +655,11 @@ def build_pipeline(
         if scenario.interference:
             rate = clean_attack.sample_rate
             # The bed is deterministic and trial-invariant; transmit
-            # it once per physical identity, bounded, instead of once
-            # per trial. The key carries everything the arrived bed
-            # depends on, so a cache shared across pipelines (dataset
-            # cells differing only in command or class) never
-            # collides and never re-transmits.
-            clean_interference = invariants.get_or_compute(
+            # it once per physical identity instead of once per trial.
+            # The key carries everything the arrived bed depends on,
+            # so every pipeline in the process (dataset cells differing
+            # only in command or class) shares it and none collides.
+            clean_interference = process_cache().get_or_compute(
                 stable_key(
                     "interference-bed",
                     scenario.interference,
@@ -699,8 +675,4 @@ def build_pipeline(
             )
         return TrialContext(clean_attack, clean_interference)
 
-    return TrialPipeline(
-        stages,
-        context_builder=context,
-        invariants=invariants,
-    )
+    return TrialPipeline(stages, context_builder=context)

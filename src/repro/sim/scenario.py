@@ -25,7 +25,6 @@ Named, registry-backed environment presets live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from repro.hardware.devices import (
     android_phone_microphone,
 )
 from repro.hardware.microphone import Microphone
+from repro.sim.cache import process_cache, stable_key
 from repro.speech.commands import COMMAND_CORPUS, synthesize_command
 from repro.speech.recognizer import KeywordRecognizer
 from repro.errors import ExperimentError
@@ -151,17 +151,26 @@ class InterferenceSource:
             )
 
 
-@lru_cache(maxsize=32)
 def interference_waveform(
     source: InterferenceSource, sample_rate: float
 ) -> Signal:
     """Render one interference source's pressure waveform at 1 m.
 
-    Deterministic in ``(source, sample_rate)`` and cached, so trial
+    Deterministic in ``(source, sample_rate)`` and kept in the
+    process cache (:func:`~repro.sim.cache.process_cache`), so trial
     groups, dataset cells and repeated sweeps all share one
     rendered array per process. The result is a read-only
     :class:`Signal` in pascals, RMS-scaled to ``source.level_spl``.
     """
+    return process_cache().get_or_compute(
+        stable_key("interference-waveform", source, sample_rate),
+        lambda: _render_interference(source, sample_rate),
+    )
+
+
+def _render_interference(
+    source: InterferenceSource, sample_rate: float
+) -> Signal:
     rng = np.random.default_rng(source.seed)
     if source.kind == "speech_babble":
         raw = white_noise(

@@ -76,6 +76,15 @@ class TestNesting:
             thread.join()
         assert recorded[0].parent_id == dispatch_id
 
+    def test_annotate_adds_attributes_to_an_open_span(self):
+        tracer = Tracer()
+        with tracer.span("experiment", experiment="F3") as span_id:
+            tracer.annotate(span_id, cache_misses=2)
+        (span,) = tracer.spans
+        assert span.attrs == {"experiment": "F3", "cache_misses": 2}
+        with pytest.raises(KeyError):
+            tracer.annotate(span_id, late=True)  # already closed
+
     def test_thread_stacks_are_independent(self):
         tracer = Tracer()
         seen = {}

@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.dsp.signals import Signal
 from repro.errors import ExperimentError
 from repro.obs.trace import Tracer, activate, maybe_span
 from repro.experiments._emissions import (
@@ -34,6 +35,8 @@ from repro.sim.engine import (
     process_cache,
     stable_key,
 )
+from repro.sim.cache import array_nbytes
+from repro.sim.pipeline import TrialContext
 from repro.sim.scenario import Scenario, VictimDevice
 
 
@@ -176,7 +179,7 @@ class TestTrialValidation:
 
 class TestEmissionCache:
     def test_hit_and_miss_accounting(self):
-        cache = EmissionCache(max_entries=4)
+        cache = EmissionCache()
         built = []
 
         def factory():
@@ -190,17 +193,72 @@ class TestEmissionCache:
         assert cache.stats.hits == 1
 
     def test_lru_eviction(self):
-        cache = EmissionCache(max_entries=2)
-        cache.get_or_compute("a", lambda: 1)
-        cache.get_or_compute("b", lambda: 2)
-        cache.get_or_compute("a", lambda: 1)  # refresh a
-        cache.get_or_compute("c", lambda: 3)  # evicts b
+        """Past its byte budget the cache drops least recently used
+        entries until the rest fit, and counts each eviction."""
+        block = np.zeros(100)  # 800 bytes
+        cache = EmissionCache(max_bytes=2000)
+        cache.get_or_compute("a", lambda: block.copy())
+        cache.get_or_compute("b", lambda: block.copy())
+        cache.get_or_compute("a", lambda: block.copy())  # refresh a
+        assert cache.nbytes == 1600
+        cache.get_or_compute("c", lambda: block.copy())  # evicts b
         assert "a" in cache and "c" in cache and "b" not in cache
         assert cache.stats.evictions == 1
+        assert cache.nbytes == 1600
+        cache.get_or_compute("d", lambda: np.zeros(200))  # evicts a, c
+        assert len(cache) == 1 and "d" in cache
+        assert cache.stats.evictions == 3
+        assert cache.nbytes == 1600
+
+    def test_entry_larger_than_the_budget_is_held_alone(self):
+        cache = EmissionCache(max_bytes=1000)
+        small = cache.get_or_compute("small", lambda: np.zeros(10))
+        built = []
+
+        def big():
+            built.append(1)
+            return Signal(np.zeros(1000), 48000.0)
+
+        first = cache.get_or_compute("big", big)
+        assert first.samples.nbytes == 8000
+        assert len(cache) == 1 and "big" in cache
+        assert cache.nbytes == 8000
+        assert cache.get_or_compute("big", big) is first
+        assert built == [1]
+        assert small.nbytes == 80  # the caller's reference survives
+
+    def test_views_of_one_buffer_count_once(self):
+        base = np.zeros(1000)
+        value = {
+            "whole": base,
+            "halves": (base[:500], base[500:]),
+            "signal": Signal(np.zeros(100), 48000.0),
+        }
+        assert array_nbytes(value) == 8000 + 800
+        assert array_nbytes([base[::2], base.reshape(10, 100)]) == 8000
+        cache = EmissionCache()
+        cache.get_or_compute("views", lambda: value)
+        assert cache.nbytes == 8800
+
+    def test_sizes_the_cached_types(self, phone_device, emission_spec):
+        """A voice, an emission, a trial context and a device are sized
+        by the sample buffers they hold."""
+        voice = cached_voice("alexa", 987654)
+        assert array_nbytes(voice) == voice.samples.nbytes
+        emission = emission_spec.emission()
+        assert array_nbytes(emission) >= sum(
+            source.pressure_at_1m.samples.nbytes
+            for source in emission.sources
+        )
+        ctx = TrialContext(voice, Signal(np.zeros(10), 48000.0))
+        assert array_nbytes(ctx) == voice.samples.nbytes + 80
+        assert array_nbytes(phone_device) > 0  # enrolled templates
 
     def test_invalid_capacity_rejected(self):
+        with pytest.raises(ExperimentError, match="max_bytes"):
+            EmissionCache(max_bytes=0)
         with pytest.raises(ExperimentError):
-            EmissionCache(max_entries=0)
+            EmissionCache(max_bytes=-1)
 
     def test_cached_voice_hits_process_cache(self):
         stats = process_cache().stats

@@ -8,7 +8,8 @@ Three groups of guarantees:
   scenario's data and the caller's options, and there is no second
   statement of that order anywhere;
 * **invariant precompute** — the trial-invariant transmissions are
-  computed once per context and cached, bounded;
+  computed once per context and kept in the byte-bounded process
+  cache;
 * **chunking invariance** — for *arbitrary* stage lists (hypothesis:
   random compositions of deterministic and draw-consuming stages) the
   executor gives bitwise the same rows at every trial count and chunk
@@ -23,9 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
-from repro.experiments._emissions import single_full
+from repro.experiments._emissions import array_split, single_full
 from repro.hardware.microphone import Microphone
-from repro.sim.cache import EmissionCache
+from repro.sim import cache as cache_module
+from repro.sim.cache import (
+    CACHE_BUDGET_BYTES,
+    EmissionCache,
+    array_nbytes,
+    stable_key,
+)
 from repro.sim.engine import EmissionSpec
 from repro.sim.pipeline import (
     MAX_CHUNK_CELLS,
@@ -129,29 +136,68 @@ class TestStageOrdering:
             TrialPipeline([])
 
 
+@pytest.fixture()
+def fresh_process_cache(monkeypatch):
+    """A fresh, empty process cache at the real byte budget, so
+    accounting is exact whatever earlier tests cached."""
+    cache = EmissionCache()
+    monkeypatch.setattr(cache_module, "_PROCESS_CACHE", cache)
+    return cache
+
+
 class TestInvariantPrecompute:
     def test_interference_bed_cached_and_bounded(
-        self, phone_device, emission_sources
+        self, phone_device, emission_sources, fresh_process_cache
     ):
         scenario = get_scenario("tv_interference").build("ok_google", 2.0)
         pipeline = build_pipeline(scenario, phone_device)
-        assert isinstance(pipeline.invariants, EmissionCache)
-        assert pipeline.invariants.max_entries <= 8  # bounded
         ctx_a = pipeline.context(emission_sources)
+        bed = ctx_a.clean_interference
+        bed_key = stable_key(
+            "interference-bed",
+            scenario.interference,
+            scenario.victim_position,
+            scenario.room,
+            scenario.conditions,
+            bed.sample_rate,
+        )
+        # One miss on the bed and one on the waveform it transmits.
+        assert bed_key in fresh_process_cache
+        assert fresh_process_cache.stats.misses == 2
+        assert fresh_process_cache.stats.hits == 0
         ctx_b = pipeline.context(emission_sources)
         # One transmission of the bed, shared by every later context.
-        assert pipeline.invariants.stats.misses == 1
-        assert pipeline.invariants.stats.hits == 1
+        assert fresh_process_cache.stats.misses == 2
+        assert fresh_process_cache.stats.hits == 1
         assert ctx_a.clean_interference is ctx_b.clean_interference
+        assert fresh_process_cache.nbytes <= CACHE_BUDGET_BYTES
 
     def test_free_field_context_skips_the_bed(
-        self, phone_device, emission_sources
+        self, phone_device, emission_sources, fresh_process_cache
     ):
         scenario = get_scenario("free_field").build("ok_google", 2.0)
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(emission_sources)
         assert ctx.clean_interference is None
-        assert len(pipeline.invariants) == 0
+        assert len(fresh_process_cache) == 0
+
+    def test_process_cache_holds_at_most_its_budget(
+        self, fresh_process_cache
+    ):
+        """Array emissions built through their recipes evict least
+        recently used entries: past every build the cache holds at
+        most its byte budget, or only the newest entry."""
+        cache = fresh_process_cache
+        built = []
+        for seed in range(5):
+            spec = EmissionSpec(array_split, ("ok_google", seed, 8))
+            emission = spec.emission()
+            assert spec.key in cache
+            assert cache.nbytes <= CACHE_BUDGET_BYTES or len(cache) == 1
+            built.append(array_nbytes(emission))
+        assert sum(built) > CACHE_BUDGET_BYTES
+        assert cache.stats.evictions > 0
+        assert EmissionSpec(array_split, ("ok_google", 0, 8)).key not in cache
 
     def test_empty_sources_rejected(self, phone_device):
         scenario = get_scenario("free_field").build("ok_google", 2.0)

@@ -159,7 +159,7 @@ class TestInterference:
         )
         a = interference_waveform(source, 48000.0)
         b = interference_waveform(source, 48000.0)
-        assert a is b  # lru_cache shares the rendered array
+        assert a is b  # the process cache shares the rendered array
 
     @pytest.mark.parametrize("kind", ["speech_babble", "music", "hum"])
     def test_kinds_render_at_requested_level(self, kind):

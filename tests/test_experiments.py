@@ -281,7 +281,8 @@ class TestCli:
         """--trace writes the span trace and leaves stdout
         byte-identical to the untraced run (zero digest drift,
         checked here on the cheapest engine-backed experiment and by
-        CI's observability job on S1)."""
+        CI's observability job on S1); the experiment span carries
+        the process cache's figures."""
         from repro.obs.trace import read_trace
 
         assert main(["F3", "--jobs", "1"]) == 0
@@ -296,6 +297,15 @@ class TestCli:
         spans = read_trace(trace_path)
         experiment = [s for s in spans if s.name == "experiment"]
         assert experiment[0].attrs["experiment"] == "F3"
+        # The process cache's figures over the experiment, and what it
+        # holds at the end.
+        attrs = experiment[0].attrs
+        for figure in (
+            "cache_hits", "cache_misses", "cache_evictions", "cache_bytes"
+        ):
+            assert isinstance(attrs[figure], int), figure
+            assert attrs[figure] >= 0, figure
+        assert attrs["cache_hits"] + attrs["cache_misses"] > 0
         # Engine fan-out is in the trace: trial-batch spans adopted
         # under the experiment.
         assert any(s.name == "trial-batch" for s in spans)
