@@ -19,7 +19,7 @@ pass silently.
 
 Usage::
 
-    python benchmarks/trajectory.py BENCH_pipeline.json BENCH_stream.json
+    python benchmarks/trajectory.py BENCH_stream.json BENCH_obs.json
     python benchmarks/trajectory.py BENCH_*.json --output history.jsonl
     python benchmarks/trajectory.py BENCH_*.json --expect-sha "$GITHUB_SHA"
 """

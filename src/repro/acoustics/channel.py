@@ -144,8 +144,8 @@ class AcousticChannel:
         """Per-trial ambient-noise copies of the transmitted waveform.
 
         The one override point for ambient noise. The trial pipeline
-        pays for :meth:`transmit` once and then streams trial chunks
-        through here with bounded memory. ``clean`` is either one
+        pays for :meth:`transmit` once and then passes each trial
+        through here as a row of its own. ``clean`` is either one
         shared waveform (static scenarios — every trial hears the same
         transmission) or an already-stacked
         ``(n_trials, n_samples)`` batch (mobile scenarios — each row

@@ -24,7 +24,7 @@ from repro.attack.array import SpeakerArray
 from repro.attack.leakage import max_inaudible_drive
 from repro.attack.optimizer import AllocationResult, allocate_drive_levels
 from repro.attack.pipeline import AttackPipeline, AttackPipelineConfig
-from repro.attack.splitter import SpectralSplitter, SplitPlan
+from repro.attack.splitter import SpectralSplitter
 from repro.dsp.signals import Signal
 from repro.hardware.speaker import UltrasonicSpeaker
 from repro.errors import AttackConfigError
@@ -117,14 +117,11 @@ class LongRangeEmission:
     sources:
         One placed source per active speaker (carrier first when
         separated).
-    plan:
-        The split plan used.
     allocation:
         The drive allocation used.
     """
 
     sources: tuple[PlacedSource, ...]
-    plan: SplitPlan
     allocation: AllocationResult
 
 
@@ -230,7 +227,6 @@ class LongRangeAttacker:
             )
         return LongRangeEmission(
             sources=tuple(sources),
-            plan=plan,
             allocation=allocation,
         )
 

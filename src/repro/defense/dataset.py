@@ -18,7 +18,7 @@ Synthesis runs on the shared declarative trial pipeline
 recogniser: each (command, distance, class) cell is one trial group
 whose deterministic transmission — direct wave plus any room
 reflections, plus the interference bed — is propagated once and whose
-per-trial stages run as stacked batches. The genuine talker's
+per-trial stages run one trial at a time. The genuine talker's
 randomised level rides the pipeline's per-trial gain stage
 (:func:`repro.sim.pipeline.level_stage`): propagation is linear, so a
 level drawn per trial is exactly a gain on a transmission rendered

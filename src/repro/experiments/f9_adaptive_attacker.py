@@ -43,13 +43,44 @@ def run(
     scenario: str = "free_field",
 ) -> ResultTable:
     """Sweep modulation depth; report detection and attack success."""
-    spec = get_scenario(scenario)
-    rng = np.random.default_rng(seed)
     depths = (
         (1.0, 0.5, 0.25)
         if quick
         else (1.0, 0.7, 0.5, 0.35, 0.25, 0.15)
     )
+    spec = get_scenario(scenario)
+    table = ResultTable(
+        title=(
+            "F9: adaptive attacker (modulation depth sweep) at "
+            f"{spec.max_distance_m(distance_m)} m" + spec.title_suffix()
+        ),
+        columns=[
+            "mod depth",
+            "attack success",
+            "detection rate",
+            "mean det score",
+        ],
+    )
+    for row in depth_sweep(
+        depths, quick, seed, command, distance_m, engine, scenario
+    ):
+        table.add_row(*row)
+    return table
+
+
+def depth_sweep(
+    depths: tuple[float, ...],
+    quick: bool = True,
+    seed: int = 0,
+    command: str = "ok_google",
+    distance_m: float = 2.0,
+    engine: ExperimentEngine | None = None,
+    scenario: str = "free_field",
+) -> list[tuple[float, float, float, float]]:
+    """``(depth, attack success, detection rate, mean det score)`` for
+    each modulation depth, against the detector :func:`run` trains."""
+    spec = get_scenario(scenario)
+    rng = np.random.default_rng(seed)
     n_trials = 3 if quick else 10
     # Train the detector once, on full-depth attacks only — the
     # adaptive attacker deviates from the training distribution.
@@ -63,8 +94,9 @@ def run(
     )
     device = VictimDevice.phone(seed=seed + 1)
     # max_distance_m already returns min(ceiling, room span).
-    distance_m = spec.max_distance_m(distance_m)
-    trial_scenario = spec.build(command, distance_m=distance_m)
+    trial_scenario = spec.build(
+        command, distance_m=spec.max_distance_m(distance_m)
+    )
     groups = [
         TrialGroup(
             trial_scenario,
@@ -78,22 +110,11 @@ def run(
         engine = ExperimentEngine(jobs=1)
     detector = InaudibleVoiceDetector().fit(build_dataset(train_config))
     per_depth = engine.run_trial_groups(groups, rng)
-    table = ResultTable(
-        title=(
-            "F9: adaptive attacker (modulation depth sweep) at "
-            f"{distance_m} m" + spec.title_suffix()
-        ),
-        columns=[
-            "mod depth",
-            "attack success",
-            "detection rate",
-            "mean det score",
-        ],
-    )
+    rows = []
     for depth, outcomes in zip(depths, per_depth):
         success = sum(o.success for o in outcomes) / len(outcomes)
         verdicts = [detector.classify(o.recording) for o in outcomes]
         detection = sum(v.is_attack for v in verdicts) / len(verdicts)
         mean_score = float(np.mean([v.score for v in verdicts]))
-        table.add_row(depth, success, detection, mean_score)
-    return table
+        rows.append((depth, success, detection, mean_score))
+    return rows

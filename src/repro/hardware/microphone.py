@@ -135,7 +135,7 @@ class Microphone:
 
         Composed of the chain's two halves — :meth:`record_analog`
         (front-end through self-noise) and :meth:`digitize` (ADC) —
-        which the trial pipeline runs as separate stacked stages.
+        which the trial pipeline runs as separate stages.
 
         Parameters
         ----------

@@ -78,9 +78,10 @@ class PolynomialNonlinearity:
         Shape-agnostic and elementwise: a stacked
         ``(n_trials, n_samples)`` batch produces bitwise the same
         values as applying the polynomial row by row, which is what
-        lets the trial pipeline (:mod:`repro.sim.pipeline`) push whole
-        trial chunks through the transducer model in one call — for
-        subclasses too, which must keep it elementwise.
+        lets the trial pipeline (:mod:`repro.sim.pipeline`) and
+        :meth:`~repro.hardware.microphone.Microphone.record` share one
+        stacked transducer model — for subclasses too, which must keep
+        it elementwise.
         """
         x = np.asarray(x, dtype=np.float64)
         result = np.zeros_like(x)

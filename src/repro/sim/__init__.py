@@ -12,9 +12,9 @@
 ``pipeline``
     The declarative trial chain: a :class:`TrialPipeline` of named
     :class:`Stage` objects (transmit -> motion-gain -> interference ->
-    ambient -> microphone -> adc -> recognize), each one kernel over a
-    stacked trial chunk, walked by one executor whose outputs do not
-    depend on the chunk size.
+    ambient -> microphone -> adc -> recognize), each one kernel over
+    stacked rows, walked by one executor that runs each trial as a
+    row of its own.
 ``engine``
     The one way to run trials: :class:`ExperimentEngine` fans trial
     groups over a process pool with ``SeedSequence``-spawned per-trial

@@ -22,13 +22,12 @@ import numpy as np
 from repro.errors import ExperimentError
 
 #: Bytes of array data the process cache may hold. Quick-suite entries
-#: run up to 51.5 MB, apart from T2's 32-element array emission
-#: (72.7 MB, held alone); the fleet's working set is 7.5 MB, so it
-#: never evicts. Run in one process the quick suite peaks
-#: at 318, 336, 343 and 410 MB RSS with 40, 34, 32 and 32 misses at
-#: 32, 64, 96 and 128 MiB, against 421 MB and 33 misses for the old
-#: bound of 16 entries, which held up to 186 MB no later experiment
-#: read.
+#: run up to 51.5 MB; T2's 32-element array emission holds 44.7 MB of
+#: radiated sources. The fleet's working set is 7.5 MB, so it never
+#: evicts. Run in one process (single runs) the quick suite peaks at
+#: 294, 318, 374 and 382 MB RSS with 37, 32, 32 and 31 misses at 32,
+#: 64, 96 and 128 MiB: 64 MiB saves five re-syntheses over 32 MiB for
+#: 24 MB, and more budget buys almost no hits.
 CACHE_BUDGET_BYTES = 64 << 20
 
 #: Leaves of the size walk, which hold no array memory.

@@ -11,21 +11,21 @@ their noise draws. Three observations make the whole suite scale:
    are bit-identical for any ``jobs`` value — parallelism never
    changes the science, only the wall clock.
 2. **Emissions are expensive, deterministic and large.** A 32-element
-   array emission takes ~1 s to synthesise and ~73 MB to pickle (45 MB
-   of radiated sources, 28 MB of split-plan drives), so shipping
-   waveforms to workers would drown the pool in IPC. Instead work
-   units carry an :class:`EmissionSpec` — a module-level builder plus
-   picklable arguments — and every process materialises it through
-   its byte-bounded :func:`process_cache`, once per recipe while the
-   recipe stays in the cache's budget.
+   array emission takes ~1 s to synthesise and ~45 MB of radiated
+   sources to pickle, so shipping waveforms to workers would drown
+   the pool in IPC. Instead work units carry an :class:`EmissionSpec`
+   — a module-level builder plus picklable arguments — and every
+   process materialises it through its byte-bounded
+   :func:`process_cache`, once per recipe while the recipe stays in
+   the cache's budget.
 3. **The serial path is the degenerate case.** With ``jobs=1`` the
    engine runs every task in-process with no executor, identical code
    path, identical numbers.
-4. **Inside each worker the hot path is vectorized.** Trial chunks
-   run through the shared :class:`~repro.sim.pipeline.TrialPipeline`:
-   the deterministic transmission is computed once per group and the
-   per-trial noise / microphone / ADC stages execute as stacked 2-D
-   operations.
+4. **Inside each worker a trial is one row.** Each task's trials run
+   through the shared :class:`~repro.sim.pipeline.TrialPipeline`: the
+   deterministic transmission is computed once per group, then every
+   trial's noise / microphone / ADC / recognise stages run on its own
+   row, so splitting a group over tasks changes no bit.
 
 The engine is the one way to run trials: every ``repro.experiments``
 module takes one (``engine=None`` means a serial engine), the
@@ -136,7 +136,7 @@ class TrialGroup:
 
 @dataclass(frozen=True)
 class _TrialTask:
-    """One worker task: a contiguous chunk of one group's trials."""
+    """One worker task: a contiguous slice of one group's trials."""
 
     group: TrialGroup
     rngs: tuple[np.random.Generator, ...]
@@ -144,22 +144,22 @@ class _TrialTask:
 
 
 def _run_trial_batch(task: _TrialTask) -> list[TrialOutcome]:
-    """Worker: execute one chunk of a group's trials.
+    """Worker: execute one slice of a group's trials.
 
     Module-level so it pickles by reference; the emission is resolved
     here, inside the executing process, through its cache. A thin
     driver over the shared declarative pipeline
     (:mod:`repro.sim.pipeline`): build the group's stage list once,
     precompute the trial-invariant transmissions, then run the
-    generators through its executor — one transmission, stacked 2-D
-    trial operations.
+    generators through its executor — one transmission, then one row
+    per trial.
 
     When the caller only wants success statistics,
     ``keep_recordings=False`` drops each outcome's device-rate
     waveform *before* it is pickled back — at 50 trials per cell the
     recordings, not the results, are the dominant IPC cost.
 
-    The chunk runs in a ``trial-batch`` span (pipeline stage spans
+    The slice runs in a ``trial-batch`` span (pipeline stage spans
     nest under it) on whatever tracer is ambient: the caller's when
     it runs inline, a worker-local one that :meth:`ExperimentEngine.map`
     brings home when it runs in the pool.

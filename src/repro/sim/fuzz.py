@@ -28,8 +28,8 @@ seed denotes; that is fine (no golden covers a generated scenario) but
 must be deliberate.
 
 The correctness oracle over this space is differential, not curated:
-for any generated scenario, every trial chunk size must give the same
-bits, worker fan-out and shard partitioning must not change a byte,
+for any generated scenario, every partition of the trials over
+executor calls must give the same bits, worker fan-out and shard partitioning must not change a byte,
 and the streaming guard must match the offline guard exactly
 (``tests/sim/test_fuzz.py`` and the CI ``fuzz-smoke`` job).
 """

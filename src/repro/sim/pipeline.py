@@ -6,21 +6,21 @@ ordered list of named :class:`Stage` objects
     transmit -> motion-gain -> [interference] -> ambient ->
     microphone -> adc -> recognize
 
-where each stage carries one kernel over a trial chunk: the stacked
-``(n_trials, n_samples)`` value plus one generator per row. A single
-trial is a chunk of one, so there is no second, per-trial statement
-of the chain to keep in sync; :meth:`TrialPipeline.run_trials` is the
-only executor, and :class:`~repro.sim.engine.ExperimentEngine` drives
-it for every trial group. The executor's chunks are sized by a
-cell budget (:data:`MAX_CHUNK_CELLS`), not a trial count, so its
-working set is bounded by the budget whatever the group size or the
-waveform length.
+where each stage carries one kernel over ``(value, rngs)``: a stacked
+``(n_rows, n_samples)`` value plus one generator per row. The executor,
+:meth:`TrialPipeline.run_trials`, feeds the stage list one trial at a
+time — a stack of one, exactly as one attack is one recording — so
+there is no second, per-trial statement of the chain to keep in sync
+and the working set is one trial's whatever the group size.
+:class:`~repro.sim.engine.ExperimentEngine` drives it for every trial
+group.
 
 Per-trial random draws are the determinism discipline: a kernel draws
-from ``rngs[i]`` for row ``i`` only, in row order, so every trial
-consumes the same draws (motion gain, then ambient noise, then
-microphone self-noise) whatever chunk it lands in. The executor's
-outputs are therefore invariant under the chunk size — the property
+from ``rngs[i]`` for row ``i`` only, so every trial consumes the same
+draws (motion gain, then ambient noise, then microphone self-noise)
+whichever call it runs in. Trials therefore commute: partitioning the
+generators over several :meth:`~TrialPipeline.run_trials` calls — the
+engine's task split — gives the same bits as one call, the property
 the differential suites check against the goldens and the
 ``float64_baseline.json`` digests.
 
@@ -46,18 +46,6 @@ from repro.hardware.microphone import Microphone
 from repro.obs.trace import current_tracer
 from repro.sim.cache import process_cache, stable_key
 from repro.sim.scenario import Scenario, VictimDevice
-
-#: Float64 cells one stacked executor pass may hold per trial-chunk
-#: array (8 MB), the same budget the recogniser's DTW slabs use. The
-#: default chunk is as many trials as fit in it at the chunk's longest
-#: row (:func:`chunk_trials_for`): 6 rows of a 174 720-sample arrived
-#: wave, 2 of a 450 240-sample one. The pipeline's working set then
-#: stays a small multiple of the budget whatever the trial count, while
-#: short rows still share the per-chunk fixed costs (filter design,
-#: zero-phase initial conditions, batch construction); row-at-a-time
-#: filtering keeps the hot DSP cache-resident at any stack height.
-MAX_CHUNK_CELLS = 1 << 20
-
 
 @dataclass
 class StageTiming:
@@ -221,22 +209,6 @@ class TrialContext:
     clean_interference: Signal | None = None
 
 
-def chunk_trials_for(ctx: TrialContext) -> int:
-    """The default trials per chunk: :data:`MAX_CHUNK_CELLS` over the
-    longest row the chunk carries (the arrived attack wave or the
-    interference bed), and at least one. A context without waveforms
-    (synthetic pipelines) runs every trial in one chunk."""
-    longest = max(
-        (
-            wave.n_samples
-            for wave in (ctx.clean_attack, ctx.clean_interference)
-            if wave is not None
-        ),
-        default=1,
-    )
-    return max(1, MAX_CHUNK_CELLS // longest)
-
-
 #: Stage kernel: (context, stacked value-in, per-trial generators) ->
 #: stacked value-out. Row ``i`` may draw only from ``rngs[i]``.
 Kernel = Callable[
@@ -254,9 +226,13 @@ class Stage:
         Stable identifier (``"transmit"``, ``"ambient"``, ...); shown
         in trace spans and the pipeline diagram.
     kernel:
-        The stage over a trial chunk: ``(ctx, value, rngs)`` with one
-        generator per trial, in row order. A single trial is a chunk
-        of one.
+        The stage over stacked rows: ``(ctx, value, rngs)`` with one
+        generator per row, in row order. The executor passes one row
+        per call; the kernels stay 2-D because the batch methods they
+        wrap serve other stacks too
+        (:meth:`~repro.hardware.microphone.Microphone.record` is a
+        stack of one over them; the streaming kernel recognises
+        stacked rows).
     """
 
     name: str
@@ -266,8 +242,8 @@ class Stage:
 class TrialPipeline:
     """An ordered stage list plus its executor.
 
-    :meth:`run_trials` folds bounded trial chunks through every
-    stage's kernel; its outputs do not depend on the chunk size.
+    :meth:`run_trials` folds each trial through every stage's kernel
+    on its own; a trial's output depends on its generator only.
     """
 
     def __init__(
@@ -318,39 +294,25 @@ class TrialPipeline:
         self,
         ctx: TrialContext,
         rngs: Sequence[np.random.Generator],
-        chunk_trials: int | None = None,
     ) -> list:
         """Every trial's final value, in generator order.
 
-        The generators stream through the stage kernels in chunks of
-        at most ``chunk_trials``; ``None`` sizes the chunks by the cell
-        budget (:func:`chunk_trials_for`), so a stacked stage value
-        holds at most :data:`MAX_CHUNK_CELLS` cells whatever the trial
-        count. The results are bitwise the same for every chunk size.
-        Under an ambient tracer each stage call records one span with
-        ``mode="batch"`` and ``trials=n``.
+        Each generator runs through the stage kernels on its own, as a
+        stack of one row, so any partition of the generators over
+        calls gives bitwise the same values. Under an ambient tracer
+        each stage call records one span with ``mode="batch"`` and
+        ``trials=1``.
         """
         rngs = list(rngs)
         if not rngs:
             raise ExperimentError(
                 "run_trials needs >= 1 trial generator"
             )
-        if chunk_trials is None:
-            chunk_trials = chunk_trials_for(ctx)
-        if chunk_trials < 1:
-            raise ExperimentError(
-                f"chunk_trials must be >= 1, got {chunk_trials}"
-            )
-        out: list = []
-        for start in range(0, len(rngs), chunk_trials):
-            chunk = rngs[start : start + chunk_trials]
-            out.extend(self._run_chunk(ctx, chunk))
-        return out
+        return [self._run_one(ctx, rng) for rng in rngs]
 
-    def _run_chunk(
-        self, ctx: TrialContext, rngs: list[np.random.Generator]
-    ) -> list:
+    def _run_one(self, ctx: TrialContext, rng: np.random.Generator):
         tracer = current_tracer()
+        rngs = [rng]
         value: Any = None
         for stage in self.stages:
             started = time.perf_counter() if tracer is not None else 0.0
@@ -361,13 +323,13 @@ class TrialPipeline:
                     started,
                     time.perf_counter(),
                     mode="batch",
-                    trials=len(rngs),
+                    trials=1,
                 )
-        return _per_trial_values(value, len(rngs))
+        return _trial_value(value)
 
 
-def _per_trial_values(value: Any, n_trials: int) -> list:
-    """Normalise a chunk's final value to one entry per trial."""
+def _trial_value(value: Any) -> Any:
+    """The one trial's entry of the final stage's value."""
     if isinstance(value, list):
         rows = value
     elif isinstance(value, SignalBatch):
@@ -379,12 +341,11 @@ def _per_trial_values(value: Any, n_trials: int) -> list:
             "the final stage must produce a list, a SignalBatch or a "
             f"2-D array, got {type(value).__qualname__}"
         )
-    if len(rows) != n_trials:
+    if len(rows) != 1:
         raise ExperimentError(
-            f"final stage produced {len(rows)} rows for "
-            f"{n_trials} trials"
+            f"final stage produced {len(rows)} rows for one trial"
         )
-    return rows
+    return rows[0]
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +359,7 @@ def transmit_stage() -> Stage:
     plus any room reflections) and the interference bed to the victim
     — is trial-invariant and happens once per group in the pipeline's
     precompute step (:meth:`TrialPipeline.context`); this stage merely
-    hands the chunk the shared arrived waveform.
+    hands the trial the shared arrived waveform.
     """
     return Stage(
         name="transmit", kernel=lambda ctx, value, rngs: ctx.clean_attack
@@ -411,7 +372,7 @@ def _gain_rows(
     """Apply per-trial amplitude gains, row by row.
 
     ``None`` gains leave the shared waveform untouched (static
-    scenarios never multiply); when any trial scales, the chunk is
+    scenarios never multiply); when any trial scales, the rows are
     stacked with row ``i`` equal to ``value * gains[i]``.
     """
     if all(gain is None for gain in gains):
@@ -489,7 +450,7 @@ def interference_stage() -> Stage:
     """Sum the precomputed interference bed at the diaphragm.
 
     Zero-pads to the longer of the two waveforms and adds, row by row.
-    A chunk that is still a shared waveform (static scenario) stays
+    A value that is still a shared waveform (static scenario) stays
     shared — the bed is trial-invariant too.
     """
 

@@ -12,7 +12,7 @@ features real deployments face:
   with the attack waves;
 * an :class:`AttackerMotion` model — per-trial geometry perturbation
   of a walking attacker, expressed as a far-field amplitude factor so
-  a whole trial chunk scales in one stacked multiply;
+  each trial's row is the shared transmission times one gain;
 * optional :class:`~repro.acoustics.atmosphere.AtmosphericConditions`
   (weather) feeding the ISO 9613-1 absorption model.
 
@@ -235,8 +235,8 @@ class AttackerMotion:
     scaled by ``d0 / d_i``. Phase/delay changes over sub-metre
     displacements are second-order for envelope-demodulated commands
     and are deliberately not modelled; keeping the perturbation a pure
-    gain is what lets the trial pipeline render a whole trial chunk
-    as one stacked multiply.
+    gain is what lets the trial pipeline transmit once per group and
+    scale that shared wave per trial.
 
     Attributes
     ----------

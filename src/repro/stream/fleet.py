@@ -13,10 +13,10 @@ each an independent audio timeline (ambient lead-in, utterances,
 ambient gaps) drawn block by block (:class:`TimelineSource`) and
 pushed through lockstep stream groups
 (:func:`~repro.stream.kernel.drive_stream_group`). The utterance
-recordings are synthesised through the *batched*
+recordings are synthesised through the shared
 :class:`~repro.sim.pipeline.TrialPipeline` — one transmission per
-class, every stream's per-utterance variation riding the stacked
-per-trial stages — with per-stream generators spawned from one
+class, every stream's per-utterance variation riding the per-trial
+stages — with per-stream generators spawned from one
 :class:`numpy.random.SeedSequence`, so the whole fleet is a pure
 function of its config.
 
@@ -680,7 +680,7 @@ def run_shard(task: ShardTask) -> ShardResult:
 
     The shard's working set is therefore one block's, not the
     shard's: recordings exist only while their block streams, and the
-    synthesis stacks are bounded by the pipeline's cell budget. Each
+    pipeline synthesises them one trial at a time. Each
     stream's outcome is a pure function of its own seeds, so the block
     split changes no bit. ``prepare_seconds`` and ``wall_seconds`` are
     the sums of the blocks' synthesis and streaming windows.

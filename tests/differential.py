@@ -1,13 +1,14 @@
 """Shared bitwise-comparison helpers for the differential oracles.
 
-The chunking-invariance property (:func:`assert_chunking_invariant`)
-runs over every registered scenario (``tests/sim/test_scenarios.py``)
-and over generated environments (``tests/sim/test_fuzz.py``); the
-engine and subclass suites compare lists of
-:class:`~repro.sim.pipeline.TrialOutcome` too. One definition of
-"identical" — fields *and* recorded waveforms, byte for byte — keeps
-the oracle itself from drifting between files. Import it like the
-strategies module (``tests/`` is on ``sys.path``)::
+The chunking-invariance property (:func:`assert_chunking_invariant`:
+splitting a group's trials over several executor calls changes no
+bit) runs over every registered scenario
+(``tests/sim/test_scenarios.py``) and over generated environments
+(``tests/sim/test_fuzz.py``); the engine and subclass suites compare
+lists of :class:`~repro.sim.pipeline.TrialOutcome` too. One definition
+of "identical" — fields *and* recorded waveforms, byte for byte —
+keeps the oracle itself from drifting between files. Import it like
+the strategies module (``tests/`` is on ``sys.path``)::
 
     from differential import outcomes_identical
 """
@@ -18,10 +19,22 @@ import numpy as np
 
 from repro.sim.pipeline import build_pipeline
 
-#: Chunk sizes the invariance property compares: one trial at a time,
-#: a size that splits the trials unevenly, and the production chunk
-#: (``None``: sized by the pipeline's cell budget).
-CHUNK_SIZES = (1, 3, None)
+#: Where the invariance property cuts the generators into separate
+#: ``run_trials`` calls: ``[:1]``, ``[1:3]`` and ``[3:]``, against
+#: one call over them all.
+CALL_BOUNDS = (1, 3)
+
+
+def run_in_calls(pipeline, ctx, rngs, bounds=CALL_BOUNDS) -> list:
+    """``pipeline.run_trials`` over ``rngs`` cut at ``bounds``, one
+    call per non-empty slice, the rows concatenated in order."""
+    rngs = list(rngs)
+    edges = [0, *bounds, len(rngs)]
+    rows: list = []
+    for start, stop in zip(edges, edges[1:]):
+        if start < stop:
+            rows.extend(pipeline.run_trials(ctx, rngs[start:stop]))
+    return rows
 
 
 def outcomes_identical(a, b, compare_recordings: bool = True) -> bool:
@@ -59,33 +72,32 @@ def assert_chunking_invariant(
     seed: int = 5,
     **pipeline_options,
 ):
-    """Every chunk size in :data:`CHUNK_SIZES` gives the same rows.
+    """One call over the trials equals the same trials split over
+    several calls.
 
     Builds the (scenario, device) pipeline with ``pipeline_options``
-    (``recognize``, ``gain_stage``, ...), runs
-    ``n_trials`` trials of it through
-    :meth:`~repro.sim.pipeline.TrialPipeline.run_trials` at each chunk
-    size from identically spawned generators, and asserts the rows —
-    trial outcomes, or recordings for a pipeline that ends at the ADC
-    — agree bitwise. Returns the rows of the first chunk size.
+    (``recognize``, ``gain_stage``, ...), runs ``n_trials`` trials of
+    it through one
+    :meth:`~repro.sim.pipeline.TrialPipeline.run_trials` call, then
+    runs identically spawned generators on the same pipeline object
+    split at :data:`CALL_BOUNDS`, and asserts the rows — trial
+    outcomes, or recordings for a pipeline that ends at the ADC —
+    agree bitwise. Returns the rows of the single call.
     """
     pipeline = build_pipeline(scenario, device, **pipeline_options)
     ctx = pipeline.context(sources)
-    runs = [
-        pipeline.run_trials(
-            ctx,
-            np.random.default_rng(seed).spawn(n_trials),
-            chunk_trials=chunk_trials,
+    whole = pipeline.run_trials(
+        ctx, np.random.default_rng(seed).spawn(n_trials)
+    )
+    split = run_in_calls(
+        pipeline, ctx, np.random.default_rng(seed).spawn(n_trials)
+    )
+    if pipeline_options.get("recognize", True):
+        same = outcomes_identical(whole, split)
+    else:
+        same = len(split) == len(whole) and all(
+            np.array_equal(x.samples, y.samples)
+            for x, y in zip(whole, split)
         )
-        for chunk_trials in CHUNK_SIZES
-    ]
-    for chunk_trials, rows in zip(CHUNK_SIZES[1:], runs[1:]):
-        if pipeline_options.get("recognize", True):
-            same = outcomes_identical(runs[0], rows)
-        else:
-            same = len(rows) == len(runs[0]) and all(
-                np.array_equal(x.samples, y.samples)
-                for x, y in zip(runs[0], rows)
-            )
-        assert same, f"chunk_trials={chunk_trials} changed the rows"
-    return runs[0]
+    assert same, f"splitting the calls at {CALL_BOUNDS} changed the rows"
+    return whole

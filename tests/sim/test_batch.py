@@ -1,9 +1,9 @@
-"""Unit and equivalence tests for the stacked trial pipeline.
+"""Unit and equivalence tests for the trial pipeline.
 
 The contract under test is strict: a trial's outcome — success, DTW
-distance, recorded waveform — does not depend on which chunk it runs
-in, whether it runs through the engine or straight through the
-scenario's pipeline as a chunk of one, or whether the hardware and
+distance, recorded waveform — does not depend on which executor call
+it runs in, whether it runs through the engine or straight through the
+scenario's pipeline, or whether the hardware and
 scenario models are stock or subclassed.
 """
 
@@ -89,21 +89,21 @@ class TestSignalBatch:
 class TestKernelEquivalence:
     @pytest.fixture(scope="class")
     def pair(self, scenario, phone_device, emission_spec):
-        """Three trials one at a time vs as one stacked chunk."""
+        """Three trials in three calls vs in one call."""
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(emission_spec.sources())
         one_by_one = [
             pipeline.run_trials(ctx, [rng])[0]
             for rng in np.random.default_rng(5).spawn(3)
         ]
-        chunked = pipeline.run_trials(
+        one_call = pipeline.run_trials(
             ctx, np.random.default_rng(5).spawn(3)
         )
-        return one_by_one, chunked
+        return one_by_one, one_call
 
     def test_outcomes_bitwise_identical(self, pair):
-        one_by_one, chunked = pair
-        assert outcomes_identical(one_by_one, chunked)
+        one_by_one, one_call = pair
+        assert outcomes_identical(one_by_one, one_call)
 
     def test_batch_of_one_is_exactly_scalar(
         self, scenario, phone_device, emission_spec

@@ -8,7 +8,8 @@ with invariants that must hold for *any* environment it composes:
   across a subprocess boundary (the engine's workers and the fleet's
   shard processes receive only the ``random:<seed>`` string);
 * **chunking invariance** — the trial pipeline gives bitwise the same
-  outcomes for every chunk size in every generated environment;
+  outcomes however a group's trials are split over executor calls, in
+  every generated environment;
 * **jobs determinism** — fanning a generated scenario over a worker
   pool changes nothing, byte for byte;
 * **guard parity** — the streaming guard's verdict matches the
@@ -318,14 +319,14 @@ class TestDifferentialOracle:
         scenario = spec.build("ok_google", spec.distance_m)
         group = TrialGroup(scenario, phone_device, emission_spec, 3)
         pipeline = build_pipeline(scenario, phone_device)
-        chunked = pipeline.run_trials(
+        direct = pipeline.run_trials(
             pipeline.context(emission_spec.sources()), trial_rngs(3)
         )
         with ExperimentEngine(jobs=2) as engine:
             fanned = engine.run_trial_groups(
                 [group], np.random.default_rng(5)
             )[0]
-        assert outcomes_identical(chunked, fanned)
+        assert outcomes_identical(direct, fanned)
 
 
 class TestStreamingOracle:

@@ -12,8 +12,9 @@ Three groups of guarantees:
   cache;
 * **chunking invariance** — for *arbitrary* stage lists (hypothesis:
   random compositions of deterministic and draw-consuming stages) the
-  executor gives bitwise the same rows at every trial count and chunk
-  size.
+  executor gives bitwise the same rows at every trial count however
+  the generators are split over calls, and its working set is one
+  trial's.
 """
 
 import tracemalloc
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import run_in_calls
 from repro.errors import ExperimentError
 from repro.experiments._emissions import array_split, single_full
 from repro.hardware.microphone import Microphone
@@ -35,12 +37,10 @@ from repro.sim.cache import (
 )
 from repro.sim.engine import EmissionSpec
 from repro.sim.pipeline import (
-    MAX_CHUNK_CELLS,
     Stage,
     TrialContext,
     TrialPipeline,
     build_pipeline,
-    chunk_trials_for,
     level_stage,
 )
 from repro.sim.scenario import VictimDevice
@@ -190,14 +190,25 @@ class TestInvariantPrecompute:
         cache = fresh_process_cache
         built = []
         for seed in range(5):
-            spec = EmissionSpec(array_split, ("ok_google", seed, 8))
+            spec = EmissionSpec(array_split, ("ok_google", seed, 16))
             emission = spec.emission()
             assert spec.key in cache
             assert cache.nbytes <= CACHE_BUDGET_BYTES or len(cache) == 1
             built.append(array_nbytes(emission))
         assert sum(built) > CACHE_BUDGET_BYTES
         assert cache.stats.evictions > 0
-        assert EmissionSpec(array_split, ("ok_google", 0, 8)).key not in cache
+        assert EmissionSpec(array_split, ("ok_google", 0, 16)).key not in cache
+
+    def test_largest_array_emission_fits_the_budget(
+        self, fresh_process_cache
+    ):
+        """T2's 32-element emission caches its radiated sources only,
+        so it fits the byte budget rather than overflowing it alone."""
+        spec = EmissionSpec(array_split, ("ok_google", 0, 32))
+        emission = spec.emission()
+        assert spec.key in fresh_process_cache
+        assert array_nbytes(emission) < CACHE_BUDGET_BYTES
+        assert fresh_process_cache.nbytes <= CACHE_BUDGET_BYTES
 
     def test_empty_sources_rejected(self, phone_device):
         scenario = get_scenario("free_field").build("ok_google", 2.0)
@@ -279,42 +290,34 @@ class TestExecutorEquivalence:
             max_size=6,
         ),
         n_trials=st.integers(min_value=1, max_value=10),
-        chunk_trials=st.integers(min_value=1, max_value=4),
+        cuts=st.sets(st.integers(min_value=1, max_value=9), max_size=4),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
     def test_executor_is_chunking_invariant(
-        self, spec, n_trials, chunk_trials, seed
+        self, spec, n_trials, cuts, seed
     ):
-        """Any chunk size gives the same rows, for any stage list."""
+        """Any split of the generators over calls on one pipeline
+        object gives the same rows as one call, for any stage list."""
         pipeline = TrialPipeline(_build_random_stages(spec))
         ctx = TrialContext(clean_attack=None)
-        runs = [
-            pipeline.run_trials(
-                ctx,
-                np.random.default_rng(seed).spawn(n_trials),
-                chunk_trials=chunk,
-            )
-            for chunk in (1, chunk_trials, None)
-        ]
-        for rows in runs:
-            assert len(rows) == n_trials
-            for row, reference in zip(rows, runs[0]):
-                assert np.array_equal(row, reference)
+        whole = pipeline.run_trials(
+            ctx, np.random.default_rng(seed).spawn(n_trials)
+        )
+        split = run_in_calls(
+            pipeline,
+            ctx,
+            np.random.default_rng(seed).spawn(n_trials),
+            sorted(cut for cut in cuts if cut < n_trials),
+        )
+        assert len(whole) == len(split) == n_trials
+        for row, reference in zip(split, whole):
+            assert np.array_equal(row, reference)
 
     def test_run_trials_rejects_empty_generators(self):
         pipeline = TrialPipeline([_inject()])
         with pytest.raises(ExperimentError, match=">= 1"):
             pipeline.run_trials(TrialContext(None), [])
-
-    def test_run_trials_rejects_bad_chunking(self):
-        pipeline = TrialPipeline([_inject()])
-        with pytest.raises(ExperimentError, match="chunk_trials"):
-            pipeline.run_trials(
-                TrialContext(None),
-                np.random.default_rng(0).spawn(2),
-                chunk_trials=0,
-            )
 
     def test_final_stage_must_produce_rows(self):
         pipeline = TrialPipeline(
@@ -335,7 +338,7 @@ class TestExecutorEquivalence:
             [
                 Stage(
                     name="short",
-                    kernel=lambda ctx, v, rngs: [1.0],  # one row short
+                    kernel=lambda ctx, v, rngs: [],  # no row per trial
                 )
             ]
         )
@@ -345,43 +348,24 @@ class TestExecutorEquivalence:
             )
 
 
-class TestChunkBudget:
-    def test_default_chunk_is_the_cell_budget_over_the_longest_row(
+class TestTrialWorkingSet:
+    def test_working_set_is_bounded_by_one_trial(
         self, phone_device, emission_sources
     ):
-        """The default chunk holds as many trials as the cell budget
-        fits at the longest row it carries — the interference bed when
-        it outlasts the attack wave — and at least one."""
-        contexts = {}
-        for name in ("free_field", "tv_interference"):
-            scenario = get_scenario(name).build("ok_google", 3.0)
-            pipeline = build_pipeline(scenario, phone_device)
-            contexts[name] = pipeline.context(emission_sources)
-        attack = contexts["free_field"].clean_attack.n_samples
-        bed = contexts["tv_interference"].clean_interference.n_samples
-        assert bed > attack
-        assert chunk_trials_for(contexts["free_field"]) == (
-            MAX_CHUNK_CELLS // attack
-        )
-        assert chunk_trials_for(contexts["tv_interference"]) == (
-            MAX_CHUNK_CELLS // bed
-        )
-        assert chunk_trials_for(TrialContext(None)) == MAX_CHUNK_CELLS
-
-    def test_working_set_is_bounded_by_the_cell_budget(
-        self, phone_device, emission_sources
-    ):
-        """Sixteen trials over a 388k-sample interference bed run in
-        budget-sized chunks, so the executor's peak traced allocation,
+        """Sixteen trials over a 388k-sample interference bed run one
+        row at a time, so the executor's peak traced allocation,
         beyond the recordings it returns, stays within a small
-        multiple of the budget's bytes (a 16-trial stack of the same
-        rows peaked near 30x)."""
+        multiple of one row's bytes whatever the trial count (one
+        trial peaks near 8 rows; a 16-trial stack of the same rows
+        peaked near 80)."""
         scenario = get_scenario("tv_interference").build("ok_google", 3.0)
         pipeline = build_pipeline(
             scenario, phone_device.microphone, recognize=False
         )
         ctx = pipeline.context(emission_sources)
-        assert ctx.clean_interference.n_samples * 16 > 4 * MAX_CHUNK_CELLS
+        row_bytes = 8 * max(
+            ctx.clean_attack.n_samples, ctx.clean_interference.n_samples
+        )
         rngs = np.random.default_rng(3).spawn(16)
         tracemalloc.start()
         try:
@@ -391,7 +375,7 @@ class TestChunkBudget:
             tracemalloc.stop()
         returned = sum(row.samples.nbytes for row in rows)
         assert len(rows) == 16
-        assert peak - returned < 6 * 8 * MAX_CHUNK_CELLS
+        assert peak - returned < 10 * row_bytes
 
 
 class TestLevelStage:
@@ -411,28 +395,26 @@ class TestLevelStage:
             AudiblePlaybackAttacker(RIG_POSITION).emit(voice).sources
         )
         scenario = get_scenario("free_field").build("ok_google", 1.0)
-        captured_chunked: list[float] = []
-        captured_single: list[float] = []
-        outcomes = {}
-        for label, capture, chunk in (
-            ("chunked", captured_chunked, None),
-            ("single", captured_single, 1),
-        ):
-            pipeline = build_pipeline(
-                scenario,
-                phone_device.microphone,
-                recognize=False,
-                gain_stage=level_stage(
-                    55.0, 68.0, 60.0, capture=capture
-                ),
-            )
-            outcomes[label] = pipeline.run_trials(
-                pipeline.context(sources),
-                np.random.default_rng(7).spawn(4),
-                chunk_trials=chunk,
-            )
-        assert captured_chunked == captured_single
-        assert len(captured_chunked) == 4
-        assert all(55.0 <= spl <= 68.0 for spl in captured_chunked)
-        for x, y in zip(outcomes["chunked"], outcomes["single"]):
+        captured: list[float] = []
+        pipeline = build_pipeline(
+            scenario,
+            phone_device.microphone,
+            recognize=False,
+            gain_stage=level_stage(55.0, 68.0, 60.0, capture=captured),
+        )
+        ctx = pipeline.context(sources)
+        whole = pipeline.run_trials(
+            ctx, np.random.default_rng(7).spawn(4)
+        )
+        split = run_in_calls(
+            pipeline, ctx, np.random.default_rng(7).spawn(4)
+        )
+        # The talker level is each trial's first draw.
+        expected = [
+            float(rng.uniform(55.0, 68.0))
+            for rng in np.random.default_rng(7).spawn(4)
+        ]
+        assert captured == expected + expected
+        assert all(55.0 <= spl <= 68.0 for spl in captured)
+        for x, y in zip(whole, split):
             assert np.array_equal(x.samples, y.samples)

@@ -1,4 +1,4 @@
-"""Per-stage profiling and the stacked recognise stage.
+"""Per-stage profiling and the pipeline's recognise stage.
 
 Two contracts of the trial pipeline's executor:
 
@@ -6,8 +6,8 @@ Two contracts of the trial pipeline's executor:
   :class:`~repro.obs.trace.Tracer` records one span per stage call,
   and :meth:`~repro.sim.pipeline.StageProfile.from_spans` attributes
   wall time to every named stage;
-* **batched recognition is the scalar one** — the recognise stage's
-  stacked sweep gives every trial bitwise the command and DTW
+* **pipeline recognition is the scalar one** — the recognise stage's
+  ``recognize_many`` sweep gives every trial bitwise the command and DTW
   distance :meth:`~repro.speech.recognizer.KeywordRecognizer.recognize`
   gives its recording alone.
 """
@@ -46,12 +46,12 @@ def group(scenario, phone_device):
     )
 
 
-def _traced_profile(pipeline, ctx, runs, n_trials, chunk_trials=None):
+def _traced_profile(pipeline, ctx, runs, n_trials):
     tracer = Tracer()
     with activate(tracer):
         for _ in range(runs):
             rngs = np.random.default_rng(7).spawn(n_trials)
-            pipeline.run_trials(ctx, rngs, chunk_trials=chunk_trials)
+            pipeline.run_trials(ctx, rngs)
     return StageProfile.from_spans(tracer.spans)
 
 
@@ -59,9 +59,7 @@ class TestStageProfile:
     def test_one_span_per_stage_call(self, scenario, phone_device, group):
         pipeline = build_pipeline(scenario, phone_device)
         ctx = pipeline.context(group.emission.sources())
-        profile = _traced_profile(
-            pipeline, ctx, 1, group.n_trials, chunk_trials=1
-        )
+        profile = _traced_profile(pipeline, ctx, 1, group.n_trials)
         assert {mode for mode, _ in profile.timings} == {"batch"}
         assert [stage for _, stage in profile.timings] == list(
             pipeline.stage_names()
@@ -103,8 +101,8 @@ class TestRecognizeBatch:
         outcomes = pipeline.run_trials(ctx, rngs)
         recognizer = phone_device.recognizer
         for outcome in outcomes:
-            # Per-recording recognize() against the stacked sweep the
-            # recognize stage ran.
+            # Per-recording recognize() against the recognize_many()
+            # sweep the recognize stage ran.
             result = recognizer.recognize(outcome.recording)
             assert result.command == outcome.recognized_command
             assert result.distance == outcome.distance

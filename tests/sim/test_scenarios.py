@@ -3,9 +3,10 @@
 Two guarantees for *every* registered environment:
 
 * **chunking invariance** — the trial pipeline gives bitwise the same
-  successes, DTW distances and recorded waveforms whether trials run
-  one at a time or stacked in chunks, in rooms, under interference,
-  with a walking attacker and in weather, not just in the free field;
+  successes, DTW distances and recorded waveforms whether a group's
+  trials run in one executor call or split over several, in rooms,
+  under interference, with a walking attacker and in weather, not
+  just in the free field;
 * **jobs determinism** — fanning the same groups over a worker pool
   changes nothing about the outcomes, byte for byte.
 
@@ -264,7 +265,7 @@ class TestScenarioDifferential:
 
     @pytest.fixture(scope="class")
     def per_scenario(self, phone_device, emission_spec):
-        """A small group per scenario, with its chunked outcomes."""
+        """A small group per scenario, with its pipeline outcomes."""
         results = {}
         for name in scenario_names():
             scenario = get_scenario(name).build("ok_google", 2.0)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.__main__ import build_parser, main
+from repro.experiments.f9_adaptive_attacker import depth_sweep
 from repro.sim import engine
 
 
@@ -112,6 +113,14 @@ class TestF9:
     def test_detection_survives_depth_reduction(self, tables):
         table = tables["F9"]
         assert table.column("detection rate")[0] == 1.0
+
+    def test_success_collapses_before_detection(self):
+        """Below the quick table's depths the delivered command
+        starves while the trace still gives the attack away: at depth
+        0.01 no trial succeeds and the detector flags every one."""
+        ((_, success, detection, _),) = depth_sweep((0.01,))
+        assert success == 0.0
+        assert detection == 1.0
 
 
 class TestT1:
